@@ -7,6 +7,7 @@ from .core import (
     GoalSpec,
     History,
     InfeasibleActionError,
+    ModelFileError,
     ScoredCandidate,
     TrainingDivergedError,
     UnsolvableError,
@@ -38,6 +39,7 @@ __all__ = [
     "History",
     "InfeasibleActionError",
     "LinearScorer",
+    "ModelFileError",
     "PlanResult",
     "SayPolicy",
     "ScoredCandidate",

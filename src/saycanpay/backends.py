@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import ActionInstance, ContractError, History
 from .envs import Environment, EpisodeSpec, breadth_first_plan
-from .models import SayPolicy, external_say, perfect_say
+from .models import SayPolicy, external_say, perfect_say, say_top_m
 from .oracle import DELTA, OracleCan, OraclePay, ReplayCache
 
 SAY_BACKENDS = ("trained", "uniform", "perfect-say", "external")
@@ -41,7 +41,7 @@ class TrainedSay:
         self.policy = policy
 
     def propose(self, history: History, m: int) -> list[tuple[ActionInstance, float]]:
-        return self.policy.top_m(history, self.goal, self.vocab, m)
+        return say_top_m(self.policy, history, self.goal, self.vocab, m)
 
     def action_probs(self, history: History) -> np.ndarray:
         return self.policy.action_probs(history, self.goal, self.vocab)

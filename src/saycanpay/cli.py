@@ -19,14 +19,14 @@ from .data import (
 from .decoding import DecodingConfig, STRATEGIES
 from .envs import ENV_IDS, get_env
 from .evaluate import (
-    BackendChoice,
     ModelStore,
     ablate,
+    build_backends,
     plan_episode,
     run_matrix,
     write_report,
 )
-from .models import SayPolicy, TrainConfig, train
+from .models import TrainConfig, train
 from .oracle import DELTA
 
 EXIT_OK = 0
@@ -40,7 +40,6 @@ DEFAULTS = {
     "score": "saycanpay",
     "m": 6,
     "k": 3,
-    "max_steps": 20,
     "delta": DELTA,
     "lr": 1e-4,
     "wd": 1e-5,
@@ -77,7 +76,6 @@ def _add_common(parser: _Parser, names: list[str]) -> None:
         "score": dict(choices=("say", "saycan", "saycanpay")),
         "m": dict(type=int),
         "k": dict(type=int),
-        "max-steps": dict(type=int),
         "delta": dict(type=float),
         "lr": dict(type=float),
         "wd": dict(type=float),
@@ -154,7 +152,7 @@ def cmd_train(args) -> int:
         epochs=opts["epochs"], seed=opts["seed"],
     )
     kinds = ("can", "pay", "say") if opts["kind"] == "all" else (opts["kind"],)
-    model_dir = Path(opts["models"])
+    store = ModelStore(Path(opts["models"]))
     for kind in kinds:
         if kind == "can":
             dataset = make_can_samples(trajectories, seed=opts["seed"])
@@ -165,7 +163,7 @@ def cmd_train(args) -> int:
             dataset = trajectories
         model = train(kind, dataset, config, opts["env"], env=env)
         scorer = model.scorer if kind == "say" else model
-        path = model_dir / f"{opts['env']}_{kind}_seed{opts['seed']}.json"
+        path = store.path(opts["env"], kind, opts["seed"])
         scorer.save(path)
         print(f"{opts['env']} {kind}: val_metric={scorer.val_metric:.4f} -> {path}")
     return EXIT_OK
@@ -178,11 +176,13 @@ def cmd_plan(args) -> int:
         env, split_path(Path(opts["data"]), opts["env"], opts["split"])
     )
     traj = trajectories[opts["seed"] % len(trajectories)]
-    store = ModelStore(Path(opts["models"]))
-    backends = _backend_choice(opts, store)
+    names = {role: opts[f"backend_{role}"] for role in ("say", "can", "pay")}
+    backends = build_backends(
+        ModelStore(Path(opts["models"])), opts["env"], names, opts["seed"],
+        opts["adapter_endpoint"], opts["delta"],
+    )
     config = DecodingConfig(
-        strategy=opts["strategy"], score_mode=opts["score"],
-        m=opts["m"], k=opts["k"], max_steps=opts["max_steps"],
+        strategy=opts["strategy"], score_mode=opts["score"], m=opts["m"], k=opts["k"]
     )
     result = plan_episode(opts["env"], traj, backends, config)
     print(f"episode: {traj.episode.episode_id}")
@@ -201,35 +201,11 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _backend_choice(opts, store: ModelStore) -> BackendChoice:
-    kwargs: dict = {}
-    env_id, seed = opts["env"], opts["seed"]
-    if opts["backend_say"] == "trained":
-        model = store.load(env_id, "say", seed)
-        if model is None:
-            raise FileNotFoundError(str(store.path(env_id, "say", seed)))
-        kwargs["say_policy"] = SayPolicy(model)
-    for role in ("can", "pay"):
-        if opts[f"backend_{role}"] == "trained":
-            model = store.load(env_id, role, seed)
-            if model is None:
-                raise FileNotFoundError(str(store.path(env_id, role, seed)))
-            kwargs[f"{role}_model"] = model
-    return BackendChoice(
-        say=opts["backend_say"], can=opts["backend_can"], pay=opts["backend_pay"],
-        endpoint=opts["adapter_endpoint"], seed=seed, delta=opts["delta"], **kwargs,
-    )
-
-
 def cmd_eval(args) -> int:
     opts = _resolve(args)
     strategies = [opts["strategy"]] if args.strategy else ["greedy-action", "beam-action"]
     scores = [opts["score"]] if args.score else ["say", "saycan", "saycanpay"]
-    backends = {
-        "say": opts["backend_say"],
-        "can": opts["backend_can"],
-        "pay": opts["backend_pay"],
-    }
+    backends = {role: opts[f"backend_{role}"] for role in ("say", "can", "pay")}
     report = run_matrix(
         data_dir=Path(opts["data"]),
         model_dir=Path(opts["models"]),
@@ -280,16 +256,16 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate expert trajectory datasets")
-    _add_common(p, ["env", "train", "test", "gen", "seed", "data", "jobs", "out"])
+    _add_common(p, ["env", "train", "test", "gen", "seed", "data"])
 
     p = sub.add_parser("train", help="train can/pay/say scorers")
     _add_common(p, ["env", "kind", "lr", "wd", "batch", "epochs", "delta", "seed",
-                    "data", "models", "out"])
+                    "data", "models"])
 
     p = sub.add_parser("plan", help="plan a single episode and print the score table")
-    _add_common(p, ["env", "split", "strategy", "score", "m", "k", "max-steps",
-                    "delta", "seed", "backend-say", "backend-can", "backend-pay",
-                    "adapter-endpoint", "data", "models", "out"])
+    _add_common(p, ["env", "split", "strategy", "score", "m", "k", "delta", "seed",
+                    "backend-say", "backend-can", "backend-pay", "adapter-endpoint",
+                    "data", "models"])
 
     p = sub.add_parser("eval", help="run the strategy x score evaluation grid")
     _add_common(p, ["env", "split", "strategy", "score", "m", "k", "delta", "seed",

@@ -39,6 +39,10 @@ class TrainingDivergedError(RuntimeError):
     """Training loss became non-finite."""
 
 
+class ModelFileError(RuntimeError):
+    """A saved model file is malformed or is not the model that was asked for."""
+
+
 @dataclass(frozen=True)
 class GoalSpec:
     """A goal as natural language plus an environment-interpretable predicate."""
@@ -98,15 +102,6 @@ class ScoredCandidate:
     p_can: float
     f_pay: float
     step_log_score: float
-
-
-@dataclass(frozen=True)
-class Beam:
-    """A partial plan with its accumulated (unnormalized) log-score."""
-
-    history: History
-    f_acc: float
-    terminated: bool
 
 
 def _check_prob(name: str, value: float) -> None:

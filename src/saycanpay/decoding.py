@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 from .core import (
     ActionInstance,
@@ -14,9 +15,7 @@ from .core import (
     decode_score,
     length_normalize,
 )
-import math
-
-from .envs import Environment, EpisodeSpec
+from .envs import EpisodeSpec
 from .trie import TokenTrie
 
 STRATEGIES = ("greedy-token", "greedy-action", "beam-action")
@@ -67,10 +66,6 @@ def map_to_admissible(text: str, vocab: list[ActionInstance]) -> ActionInstance:
     return min(vocab, key=lambda a: (word_edit_distance(words, list(a.tokens)), a.text))
 
 
-def is_terminal(action: ActionInstance) -> bool:
-    return action.is_done
-
-
 def expand_candidates(
     say, can, pay, history: History, config: DecodingConfig
 ) -> list[ScoredCandidate]:
@@ -98,32 +93,17 @@ def expand_candidates(
     return candidates
 
 
-def greedy_action(
-    say, can, pay, episode: EpisodeSpec, config: DecodingConfig
+def _plan_result(
+    per_step: tuple[ScoredCandidate, ...], f_acc: float, terminated_by: str
 ) -> PlanResult:
-    """Pick the argmax-scored candidate at every step (beam search with k=1)."""
-    history = History(episode.init_obs)
-    per_step: list[ScoredCandidate] = []
-    f_acc = 0.0
-    terminated_by = "step-limit"
-    for _ in range(config.max_steps):
-        candidates = expand_candidates(say, can, pay, history, config)
-        if not candidates:
-            break
-        best = min(candidates, key=lambda c: (-c.step_log_score, c.action.text))
-        per_step.append(best)
-        f_acc = accumulate(f_acc, best.step_log_score)
-        history = history.extended(best.action)
-        if best.action.is_done:
-            terminated_by = "done"
-            break
+    """The plan of the chosen candidates, scored by its length-normalized sum."""
     plan = tuple(c.action for c in per_step)
     final = length_normalize(f_acc, len(plan)) if plan else -math.inf
     return PlanResult(
         plan=plan,
-        per_step=tuple(per_step),
+        per_step=per_step,
         final_score=final,
-        terminated_by=terminated_by,
+        terminated_by=terminated_by if plan else "step-limit",
     )
 
 
@@ -140,9 +120,6 @@ class _BeamState:
         return length_normalize(self.f_acc, n) if n else 0.0
 
     def sort_key(self):
-        return (-self.norm_score(), tuple(a.text for a in self.history.actions))
-
-    def final_key(self):
         # Highest length-normalized score; ties broken lexicographically.
         return (-self.norm_score(), tuple(a.text for a in self.history.actions))
 
@@ -159,8 +136,10 @@ def beam_action(
 
     A beam whose best-scored candidate is the done action takes it without
     branching into siblings -- exactly the choice greedy would make.  This
-    keeps k=1 identical to greedy_action and stops finished plans from being
-    diluted by padded copies, whose extra cheap steps would raise the mean.
+    makes k=1 the greedy search and stops finished plans from being diluted
+    by padded copies, whose extra cheap steps would raise the mean.  Siblings
+    are ranked by their normalized sums, so two step scores closer than the
+    sum's rounding error tie and fall to the lexicographic order.
     """
     beams = [
         _BeamState(
@@ -178,15 +157,7 @@ def beam_action(
                 continue
             candidates = expand_candidates(say, can, pay, beam.history, config)
             if not candidates:
-                extensions.append(
-                    _BeamState(
-                        history=beam.history,
-                        f_acc=beam.f_acc,
-                        per_step=beam.per_step,
-                        terminated=True,
-                        terminated_by="step-limit",
-                    )
-                )
+                extensions.append(replace(beam, terminated=True))
                 continue
             best_cand = min(candidates, key=lambda c: (-c.step_log_score, c.action.text))
             if best_cand.action.is_done:
@@ -206,15 +177,15 @@ def beam_action(
         beams = sorted(extensions, key=_BeamState.sort_key)[: config.k]
         seen = {id(b) for b in finished}
         finished.extend(b for b in beams if b.terminated and id(b) not in seen)
-    best = min(finished or beams, key=_BeamState.final_key)
-    plan = tuple(c.action for c in best.per_step)
-    final = length_normalize(best.f_acc, len(plan)) if plan else -math.inf
-    return PlanResult(
-        plan=plan,
-        per_step=best.per_step,
-        final_score=final,
-        terminated_by=best.terminated_by if plan else "step-limit",
-    )
+    best = min(finished or beams, key=_BeamState.sort_key)
+    return _plan_result(best.per_step, best.f_acc, best.terminated_by)
+
+
+def greedy_action(
+    say, can, pay, episode: EpisodeSpec, config: DecodingConfig
+) -> PlanResult:
+    """Pick the argmax-scored candidate at every step: beam search with k=1."""
+    return beam_action(say, can, pay, episode, replace(config, k=1))
 
 
 def greedy_token(policy_backend, episode: EpisodeSpec, config: DecodingConfig,
@@ -240,14 +211,7 @@ def greedy_token(policy_backend, episode: EpisodeSpec, config: DecodingConfig,
         if action.is_done:
             terminated_by = "done"
             break
-    plan = tuple(c.action for c in per_step)
-    final = length_normalize(f_acc, len(plan)) if plan else -math.inf
-    return PlanResult(
-        plan=plan,
-        per_step=tuple(per_step),
-        final_score=final,
-        terminated_by=terminated_by,
-    )
+    return _plan_result(tuple(per_step), f_acc, terminated_by)
 
 
 def run_strategy(

@@ -17,14 +17,6 @@ class SymbolicState:
 
     env_id: str = ""
 
-    @property
-    def entities(self) -> tuple:
-        raise NotImplementedError
-
-    @property
-    def relations(self) -> tuple:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class EpisodeSpec:
@@ -100,9 +92,6 @@ class Environment(ABC):
             if action.text == text:
                 return action
         raise ContractError(f"{text!r} is not in the episode vocabulary")
-
-    def render_action(self, action: ActionInstance) -> str:
-        return action.text
 
     def check_seed_split(self, seed: int, split: str) -> None:
         if seed < 0:

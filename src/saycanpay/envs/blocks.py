@@ -31,14 +31,6 @@ class BlocksState(SymbolicState):
     def bowls(self) -> tuple[str, ...]:
         return tuple(e for e in self.listing if " bowl " in f" {e} ")
 
-    @property
-    def entities(self) -> tuple:
-        return tuple(("block" if e in self.blocks else "bowl", e) for e in self.listing)
-
-    @property
-    def relations(self) -> tuple:
-        return tuple(("in", block, bowl) for block, bowl in self.placements)
-
 
 class BlocksEnv(Environment):
     env_id = "blocks"

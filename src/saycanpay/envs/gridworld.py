@@ -64,27 +64,6 @@ class GridState(SymbolicState):
                     changed = True
         return rooms
 
-    @property
-    def entities(self) -> tuple:
-        rooms = tuple(("room", str(r + 1)) for r in range(self.n_rooms))
-        doors = tuple(("door", color) for color, _ in self.doors)
-        objs = tuple((kind, f"{color} {kind}") for color, kind, _ in self.objects)
-        return rooms + doors + objs + (("agent", "agent"),)
-
-    @property
-    def relations(self) -> tuple:
-        facts = [("agent_in", str(self.agent_room + 1))]
-        for i, (color, locked) in enumerate(self.doors):
-            facts.append(
-                ("locked" if locked else "open", color, str(i + 1), str(i + 2))
-            )
-        for color, kind, loc in self.objects:
-            if loc == CARRIED:
-                facts.append(("holding", f"{color} {kind}"))
-            else:
-                facts.append(("located", f"{color} {kind}", str(loc + 1)))
-        return tuple(facts)
-
 
 class GridworldEnv(Environment):
     env_id = "gridworld"

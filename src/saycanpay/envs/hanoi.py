@@ -23,25 +23,6 @@ class HanoiState(SymbolicState):
 
     env_id = "hanoi"
 
-    @property
-    def entities(self) -> tuple:
-        disks = tuple(("disk", DISK_COLORS[d]) for d in range(self.n_disks))
-        rods = tuple(("rod", str(r + 1)) for r in range(N_RODS))
-        return disks + rods
-
-    @property
-    def relations(self) -> tuple:
-        facts = []
-        for r, stack in enumerate(self.rods):
-            for height, disk in enumerate(stack):
-                if height == 0:
-                    facts.append(("in_rod", DISK_COLORS[disk], str(r + 1)))
-                else:
-                    facts.append(
-                        ("on_top_of", DISK_COLORS[disk], DISK_COLORS[stack[height - 1]])
-                    )
-        return tuple(facts)
-
 
 class HanoiEnv(Environment):
     env_id = "hanoi"

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .backends import make_can_backend, make_pay_backend, make_say_backend
-from .core import ContractError
+from .core import ContractError, ModelFileError
 from .data import read_trajectories, split_path
 from .decoding import DecodingConfig, PlanResult, run_strategy
 from .envs import get_env
@@ -187,30 +187,39 @@ class ModelStore:
         return self.model_dir / f"{env_id}_{kind}_seed{seed}.json"
 
     def load(self, env_id: str, kind: str, seed: int) -> LinearScorer | None:
+        """The stored scorer, or None when its file does not exist."""
         key = (env_id, kind, seed)
         if key not in self._cache:
             path = self.path(env_id, kind, seed)
-            self._cache[key] = LinearScorer.load(path) if path.exists() else None
+            scorer = LinearScorer.load(path) if path.exists() else None
+            if scorer is not None and (scorer.kind, scorer.env) != (kind, env_id):
+                raise ModelFileError(
+                    f"model file {path} holds a {scorer.kind} model for "
+                    f"{scorer.env!r}, not {kind} for {env_id!r}"
+                )
+            self._cache[key] = scorer
         return self._cache[key]
 
 
-def _cell_backends(
+def build_backends(
     store: ModelStore | None, env_id: str, names: dict, seed: int,
     endpoint: str | None, delta: float,
-) -> BackendChoice | str:
-    """Build a BackendChoice, or return a skip reason for missing model files."""
+) -> BackendChoice:
+    """Load the trained scorers the chosen backends need.
+
+    Raises FileNotFoundError naming the first missing model file ("None"
+    when there is no model directory).
+    """
     kwargs: dict = {}
-    if names.get("say", "trained") == "trained":
-        model = store and store.load(env_id, "say", seed)
-        if model is None:
-            return f"missing model file {store and store.path(env_id, 'say', seed)}"
-        kwargs["say_policy"] = SayPolicy(model)
-    for role in ("can", "pay"):
+    for role in ("say", "can", "pay"):
         if names.get(role, "trained") == "trained":
             model = store and store.load(env_id, role, seed)
             if model is None:
-                return f"missing model file {store and store.path(env_id, role, seed)}"
-            kwargs[f"{role}_model"] = model
+                raise FileNotFoundError(str(store and store.path(env_id, role, seed)))
+            if role == "say":
+                kwargs["say_policy"] = SayPolicy(model)
+            else:
+                kwargs[f"{role}_model"] = model
     return BackendChoice(
         say=names.get("say", "trained"),
         can=names.get("can", "trained"),
@@ -244,9 +253,6 @@ def run_cells(
             )
         trajectories = traj_cache[key]
         max_steps = trajectories[0].episode.max_steps
-        backends = _cell_backends(
-            store, env_id, cell["backends"], cell["seed"], endpoint, delta
-        )
         row = {
             "env": env_id,
             "split": split,
@@ -255,8 +261,12 @@ def run_cells(
             "seed": cell["seed"],
             "k": cell.get("k", 3),
         }
-        if isinstance(backends, str):
-            row["skipped"] = backends
+        try:
+            backends = build_backends(
+                store, env_id, cell["backends"], cell["seed"], endpoint, delta
+            )
+        except FileNotFoundError as exc:
+            row["skipped"] = f"missing model file {exc}"
             out_cells.append(row)
             continue
         config = DecodingConfig(
@@ -415,24 +425,3 @@ def write_report(report: dict, path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def episode_results_to_jsonl(results: list[EpisodeResult], path: Path) -> None:
-    """Optional per-episode dump with the EpisodeResult field names."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in results:
-            fh.write(
-                json.dumps(
-                    {
-                        "episode_id": r.episode_id,
-                        "config_fingerprint": r.config_fingerprint,
-                        "plan": [a.text for a in r.plan.plan],
-                        "executed_ok": r.executed_ok,
-                        "reached_goal": r.reached_goal,
-                        "plan_length": r.plan_length,
-                        "optimal_length": r.optimal_length,
-                        "wall_time": round(r.wall_time, 6),
-                    }
-                )
-                + "\n"
-            )

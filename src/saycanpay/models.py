@@ -6,7 +6,7 @@ import json
 import math
 import socket
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +17,10 @@ from .core import (
     ContractError,
     GoalSpec,
     History,
+    ModelFileError,
     TrainingDivergedError,
 )
-from .features import DIM, HASH_SEED, FeatureVector, featurize
+from .features import DIM, HASH_SEED, PROFILES, FeatureVector, featurize
 from .oracle import Trajectory
 
 MODEL_KINDS = ("can", "pay", "say")
@@ -36,14 +37,7 @@ class TrainConfig:
     seed: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "val_fraction": self.val_fraction,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def sigmoid(z: float) -> float:
@@ -168,41 +162,35 @@ class LinearScorer:
 
     @classmethod
     def load(cls, path: Path) -> "LinearScorer":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        config = dict(payload["config"])
-        head = config.pop("head")
-        scorer = cls(
-            kind=payload["kind"],
-            env=payload["env"],
-            head=head,
-            dim=payload["dim"],
-            hash_seed=payload["hash_seed"],
-            config=config,
-            profile=payload.get("profile"),
-        )
-        scorer.weights = np.array(payload["weights"])
-        scorer.bias = payload["bias"]
-        scorer.val_metric = payload["val_metric"]
-        return scorer
-
-
-def can_score(
-    model: LinearScorer, history: History, goal: GoalSpec, action: ActionInstance,
-    env_id: str | None = None,
-) -> float:
-    if env_id is not None:
-        model.check_env(env_id)
-    return model.score(goal, history, action)
-
-
-def pay_score(
-    model: LinearScorer, history: History, goal: GoalSpec, action: ActionInstance,
-    env_id: str | None = None,
-) -> float:
-    if env_id is not None:
-        model.check_env(env_id)
-    return model.score(goal, history, action)
+        """Read a saved scorer; ModelFileError names the file if it is unusable."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            config = dict(payload["config"])
+            head = config.pop("head")
+            scorer = cls(
+                kind=payload["kind"],
+                env=payload["env"],
+                head=head,
+                dim=payload["dim"],
+                hash_seed=payload["hash_seed"],
+                config=config,
+                profile=payload.get("profile"),
+            )
+            scorer.weights = np.array(payload["weights"], dtype=float)
+            scorer.bias = float(payload["bias"])
+            scorer.val_metric = payload["val_metric"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelFileError(f"malformed model file {path}: {exc}") from exc
+        if scorer.dim != DIM or scorer.weights.shape != (DIM,):
+            problem = f"dim {scorer.dim} with {scorer.weights.size} weights, need {DIM}"
+        elif not (np.isfinite(scorer.weights).all() and math.isfinite(scorer.bias)):
+            problem = "non-finite weights or bias"
+        elif scorer.profile not in PROFILES:
+            problem = f"unknown feature profile {scorer.profile!r}"
+        else:
+            return scorer
+        raise ModelFileError(f"bad model file {path}: {problem}")
 
 
 class SayPolicy:
@@ -226,11 +214,6 @@ class SayPolicy:
             ]
         )
         return softmax(z)
-
-    def top_m(
-        self, history: History, goal: GoalSpec, vocab: list[ActionInstance], m: int
-    ) -> list[tuple[ActionInstance, float]]:
-        return say_top_m(self, history, goal, vocab, m)
 
 
 def say_top_m(
@@ -300,35 +283,22 @@ def _split_train_val(n: int, val_fraction: float, rng: np.random.Generator):
     return order[n_val:], order[:n_val]
 
 
-def _finish_epoch(losses: list[float], epoch_losses: list[float]) -> None:
-    avg = float(np.mean(losses))
-    if not math.isfinite(avg):
-        raise TrainingDivergedError(f"epoch loss {avg}")
-    epoch_losses.append(avg)
+def _fit(kind: str, env_id: str, head: str, samples, config: TrainConfig, loss_fn):
+    """Minibatch AdamW over (candidate features, target) samples.
 
-
-def _make_optimizer(config: TrainConfig) -> AdamW:
-    mask = np.ones(DIM + 1)
-    mask[-1] = 0.0  # no decay on the bias
-    return AdamW(DIM + 1, config.lr, config.weight_decay, decay_mask=mask)
-
-
-def train_can(samples, config: TrainConfig, env_id: str) -> LinearScorer:
-    """InfoNCE training of the feasibility scorer on (pos, neg, neg) triples."""
+    `loss_fn(logits, target) -> (loss, dlogits)` gets one raw score per
+    candidate.  Returns the scorer (epoch losses filled in), the trained
+    parameters (weights, then the bias), and the train/validation indices.
+    """
     if not samples:
         raise ContractError("empty dataset")
-    feats = [
-        tuple(
-            _to_arrays(featurize(s.goal, s.history, a))
-            for a in (s.positive, s.neg_same, s.neg_cross)
-        )
-        for s in samples
-    ]
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = _split_train_val(len(samples), config.val_fraction, rng)
     params = np.zeros(DIM + 1)
-    opt = _make_optimizer(config)
-    scorer = LinearScorer("can", env_id, head="sigmoid", config=config.to_json())
+    no_decay_on_bias = np.ones(DIM + 1)
+    no_decay_on_bias[-1] = 0.0
+    opt = AdamW(DIM + 1, config.lr, config.weight_decay, decay_mask=no_decay_on_bias)
+    scorer = LinearScorer(kind, env_id, head=head, config=config.to_json())
     for _ in range(config.epochs):
         order = rng.permutation(train_idx)
         losses = []
@@ -336,35 +306,89 @@ def train_can(samples, config: TrainConfig, env_id: str) -> LinearScorer:
             batch = order[start : start + config.batch_size]
             grad = np.zeros(DIM + 1)
             for i in batch:
-                scores = [sigmoid(_raw(params, f)) for f in feats[i]]
-                loss, (d_pos, d_negs) = infonce_loss(scores[0], scores[1:])
+                feats, target = samples[i]
+                loss, dz = loss_fn([_raw(params, f) for f in feats], target)
                 losses.append(loss)
-                for f, s, ds in zip(feats[i], scores, [d_pos] + d_negs):
-                    _scatter(grad, f, ds * s * (1.0 - s))
+                for f, d in zip(feats, dz):
+                    _scatter(grad, f, d)
             grad /= len(batch)
             opt.step(params, grad)
-        _finish_epoch(losses, scorer.epoch_losses)
-    scorer.val_metric = _can_f1(params, feats, val_idx)
+        avg = float(np.mean(losses))
+        if not math.isfinite(avg):
+            raise TrainingDivergedError(f"epoch loss {avg}")
+        scorer.epoch_losses.append(avg)
+    return scorer, params, train_idx, val_idx
+
+
+def _finish(scorer: LinearScorer, params: np.ndarray, val_metric: float):
+    scorer.weights = params[:-1].copy()
+    scorer.bias = float(params[-1])
+    scorer.val_metric = val_metric
+    return scorer
+
+
+def _mean_loss(params, samples, indices, loss_fn) -> float:
+    losses = [
+        loss_fn([_raw(params, f) for f in samples[i][0]], samples[i][1])[0]
+        for i in indices
+    ]
+    return float(np.mean(losses)) if len(indices) else 0.0
+
+
+def _infonce_logits(z, _target):
+    """InfoNCE over sigmoid scores; the positive candidate comes first."""
+    scores = [sigmoid(v) for v in z]
+    loss, (d_pos, d_negs) = infonce_loss(scores[0], scores[1:])
+    return loss, [ds * s * (1.0 - s) for s, ds in zip(scores, [d_pos] + d_negs)]
+
+
+def _mse_logits(z, target):
+    s = sigmoid(z[0])
+    loss, d_pred = mse_loss(s, target)
+    return loss, [d_pred * s * (1.0 - s)]
+
+
+def _softmax_xent_logits(z, target):
+    p = softmax(np.array(z))
+    dz = p.copy()
+    dz[target] -= 1.0
+    return -math.log(max(p[target], 1e-300)), dz
+
+
+def train_can(samples, config: TrainConfig, env_id: str) -> LinearScorer:
+    """InfoNCE training of the feasibility scorer on (pos, neg, neg) triples."""
+    data = [
+        (
+            [
+                _to_arrays(featurize(s.goal, s.history, a))
+                for a in (s.positive, s.neg_same, s.neg_cross)
+            ],
+            None,
+        )
+        for s in samples
+    ]
+    scorer, params, train_idx, val_idx = _fit(
+        "can", env_id, "sigmoid", data, config, _infonce_logits
+    )
+    val_metric = _can_f1(params, data, val_idx)
     # InfoNCE only constrains the ranking, so the sigmoid outputs drift toward
     # zero for every candidate.  Shift the bias (ranking-preserving, hence
     # after the validation metric) so the 20th-percentile training positive
     # lands at ~0.9; nearly all feasible actions then contribute ln p_can near
     # zero while vetoed actions stay strongly negative.
-    pos_raws = sorted(_raw(params, feats[i][0]) for i in train_idx)
+    pos_raws = sorted(_raw(params, data[i][0][0]) for i in train_idx)
     if pos_raws:
         anchor = pos_raws[len(pos_raws) // 5]
         params[-1] += CAN_CALIBRATION_RAW - anchor
-    scorer.weights = params[:-1].copy()
-    scorer.bias = float(params[-1])
-    return scorer
+    return _finish(scorer, params, val_metric)
 
 
-def _can_f1(params, feats, val_idx) -> float:
+def _can_f1(params, data, val_idx) -> float:
     """F1 where a candidate is predicted positive when it holds at least half
     of its triple's score mass (only the max-scoring candidate can)."""
     tp = fp = fn = 0
     for i in val_idx:
-        scores = [sigmoid(_raw(params, f)) for f in feats[i]]
+        scores = [sigmoid(_raw(params, f)) for f in data[i][0]]
         total = sum(scores)
         best = max(range(len(scores)), key=lambda j: scores[j])
         if scores[best] / total < 0.5:
@@ -383,45 +407,21 @@ def _can_f1(params, feats, val_idx) -> float:
 
 def train_pay(samples, config: TrainConfig, env_id: str) -> LinearScorer:
     """MSE training of the sigmoid-bounded payoff regressor."""
-    if not samples:
-        raise ContractError("empty dataset")
-    feats = [_to_arrays(featurize(s.goal, s.history, s.action)) for s in samples]
-    targets = np.array([s.target for s in samples])
-    rng = np.random.default_rng(config.seed)
-    train_idx, val_idx = _split_train_val(len(samples), config.val_fraction, rng)
-    params = np.zeros(DIM + 1)
-    opt = _make_optimizer(config)
-    scorer = LinearScorer("pay", env_id, head="sigmoid", config=config.to_json())
-    for _ in range(config.epochs):
-        order = rng.permutation(train_idx)
-        losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            grad = np.zeros(DIM + 1)
-            for i in batch:
-                s = sigmoid(_raw(params, feats[i]))
-                loss, d_pred = mse_loss(s, targets[i])
-                losses.append(loss)
-                _scatter(grad, feats[i], d_pred * s * (1.0 - s))
-            grad /= len(batch)
-            opt.step(params, grad)
-        _finish_epoch(losses, scorer.epoch_losses)
-    scorer.weights = params[:-1].copy()
-    scorer.bias = float(params[-1])
-    val_losses = [
-        mse_loss(sigmoid(_raw(params, feats[i])), targets[i])[0] for i in val_idx
+    data = [
+        ([_to_arrays(featurize(s.goal, s.history, s.action))], s.target)
+        for s in samples
     ]
-    scorer.val_metric = float(np.mean(val_losses)) if len(val_idx) else 0.0
-    return scorer
+    scorer, params, _, val_idx = _fit(
+        "pay", env_id, "sigmoid", data, config, _mse_logits
+    )
+    return _finish(scorer, params, _mean_loss(params, data, val_idx, _mse_logits))
 
 
 def train_say(
     trajectories: list[Trajectory], config: TrainConfig, env_id: str, env
 ) -> SayPolicy:
     """Full-softmax cross-entropy over each episode's vocabulary."""
-    if not trajectories:
-        raise ContractError("empty dataset")
-    samples = []  # (candidate feature list, target index)
+    data = []  # (candidate feature list, target index)
     for traj in trajectories:
         vocab = env.admissible_actions(traj.episode)
         text_to_idx = {a.text: i for i, a in enumerate(vocab)}
@@ -431,40 +431,14 @@ def train_say(
                 _to_arrays(featurize(traj.episode.goal, history, a, profile="plain"))
                 for a in vocab
             ]
-            samples.append((feats, text_to_idx[action.text]))
+            data.append((feats, text_to_idx[action.text]))
             history = history.extended(action)
-    rng = np.random.default_rng(config.seed)
-    train_idx, val_idx = _split_train_val(len(samples), config.val_fraction, rng)
-    params = np.zeros(DIM + 1)
-    opt = _make_optimizer(config)
-    scorer = LinearScorer("say", env_id, head="softmax", config=config.to_json())
-    for _ in range(config.epochs):
-        order = rng.permutation(train_idx)
-        losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            grad = np.zeros(DIM + 1)
-            for i in batch:
-                feats, target = samples[i]
-                z = np.array([_raw(params, f) for f in feats])
-                p = softmax(z)
-                losses.append(-math.log(max(p[target], 1e-300)))
-                dz = p.copy()
-                dz[target] -= 1.0
-                for f, d in zip(feats, dz):
-                    _scatter(grad, f, d)
-            grad /= len(batch)
-            opt.step(params, grad)
-        _finish_epoch(losses, scorer.epoch_losses)
-    scorer.weights = params[:-1].copy()
-    scorer.bias = float(params[-1])
-    nlls = []
-    for i in val_idx:
-        feats, target = samples[i]
-        z = np.array([_raw(params, f) for f in feats])
-        nlls.append(-math.log(max(softmax(z)[target], 1e-300)))
-    scorer.val_metric = float(np.mean(nlls)) if len(val_idx) else 0.0
-    return SayPolicy(scorer)
+    scorer, params, _, val_idx = _fit(
+        "say", env_id, "softmax", data, config, _softmax_xent_logits
+    )
+    return SayPolicy(
+        _finish(scorer, params, _mean_loss(params, data, val_idx, _softmax_xent_logits))
+    )
 
 
 def train(model_kind: str, dataset, config: TrainConfig, env_id: str, env=None):
@@ -508,6 +482,9 @@ def external_say(
         payload = json.loads(line)
         out = []
         for cand in payload["candidates"][:m]:
+            logprobs = [cand["logprob"], *cand["token_logprobs"]]
+            if not all(math.isfinite(lp) for lp in logprobs):
+                raise ValueError(f"non-finite log-probability in {cand!r}")
             prob = math.exp(cand["logprob"])
             token_probs = [math.exp(lp) for lp in cand["token_logprobs"]]
             out.append((cand["text"], prob, token_probs))

@@ -8,9 +8,12 @@ session; the "tiny" fixtures exist for fast mechanical tests.
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import pytest
+
+from saycanpay.core import History, ScoredCandidate, accumulate, length_normalize
 
 from saycanpay.data import (
     generate_dataset,
@@ -19,11 +22,43 @@ from saycanpay.data import (
     read_trajectories,
     split_path,
 )
+from saycanpay.decoding import PlanResult, expand_candidates
 from saycanpay.envs import ENV_IDS, get_env
 from saycanpay.models import TrainConfig, train
 from saycanpay.oracle import DELTA
 
 TRAIN_SEEDS = (0, 1, 2)
+
+
+def reference_greedy_action(say, can, pay, episode, config) -> PlanResult:
+    """Independent greedy loop: take the argmax-scored candidate at every step.
+
+    The library's greedy-action is beam-action with k=1; this loop is the
+    reference that equivalence is checked against.
+    """
+    history = History(episode.init_obs)
+    per_step: list[ScoredCandidate] = []
+    f_acc = 0.0
+    terminated_by = "step-limit"
+    for _ in range(config.max_steps):
+        candidates = expand_candidates(say, can, pay, history, config)
+        if not candidates:
+            break
+        best = min(candidates, key=lambda c: (-c.step_log_score, c.action.text))
+        per_step.append(best)
+        f_acc = accumulate(f_acc, best.step_log_score)
+        history = history.extended(best.action)
+        if best.action.is_done:
+            terminated_by = "done"
+            break
+    plan = tuple(c.action for c in per_step)
+    final = length_normalize(f_acc, len(plan)) if plan else -math.inf
+    return PlanResult(
+        plan=plan,
+        per_step=tuple(per_step),
+        final_score=final,
+        terminated_by=terminated_by,
+    )
 
 
 def train_models(data_dir, model_dir, env_ids=ENV_IDS, seeds=TRAIN_SEEDS):

@@ -16,6 +16,8 @@ import time
 import numpy as np
 import pytest
 
+from conftest import reference_greedy_action
+from saycanpay.backends import TrainedCan, TrainedPay, TrainedSay
 from saycanpay.data import make_pay_samples, read_trajectories, split_path
 from saycanpay.decoding import DecodingConfig, PlanResult
 from saycanpay.envs import ENV_IDS, get_env
@@ -149,20 +151,24 @@ def test_criterion_02_beam_one_equals_greedy(full_data_dir, full_model_dir):
         )
         for score in ("say", "saycan", "saycanpay"):
             for traj in trajectories:
-                greedy = plan_episode(
-                    env_id, traj, backends,
-                    DecodingConfig(strategy="greedy-action", score_mode=score, k=1),
+                spec = traj.episode
+                config = DecodingConfig(
+                    strategy="beam-action", score_mode=score, k=1,
+                    max_steps=spec.max_steps,
                 )
-                beam = plan_episode(
-                    env_id, traj, backends,
-                    DecodingConfig(strategy="beam-action", score_mode=score, k=1),
+                greedy = reference_greedy_action(
+                    TrainedSay(env, spec, backends.say_policy),
+                    TrainedCan(spec, backends.can_model),
+                    TrainedPay(spec, backends.pay_model),
+                    spec, config,
                 )
+                beam = plan_episode(env_id, traj, backends, config)
                 compared += 1
                 same = (
-                    [a.text for a in greedy.plan.plan]
+                    [a.text for a in greedy.plan]
                     == [a.text for a in beam.plan.plan]
-                    and greedy.plan.per_step == beam.plan.per_step
-                    and greedy.plan.final_score == beam.plan.final_score
+                    and greedy.per_step == beam.plan.per_step
+                    and greedy.final_score == beam.plan.final_score
                 )
                 mismatches += not same
     ok = mismatches == 0

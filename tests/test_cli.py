@@ -166,9 +166,29 @@ class TestExitCodes:
         assert proc.returncode == 1
 
     def test_runtime_error_returns_two(self, tiny_data_dir, tmp_path):
-        proc = run_cli(
-            "plan", "--env", "hanoi", "--data", str(tiny_data_dir),
-            "--models", str(tmp_path),  # no model files
-        )
-        assert proc.returncode == 2
-        assert "hanoi_say_seed0.json" in proc.stderr
+        for corrupt in (False, True):  # no model file, then one with dim=10
+            if corrupt:
+                (tmp_path / "hanoi_say_seed0.json").write_text(json.dumps({
+                    "kind": "say", "env": "hanoi", "dim": 10, "weights": [0.0] * 10,
+                    "hash_seed": 0, "profile": "plain", "bias": 0.0,
+                    "config": {"head": "softmax"}, "val_metric": None,
+                }))
+            proc = run_cli(
+                "plan", "--env", "hanoi", "--data", str(tiny_data_dir),
+                "--models", str(tmp_path),
+            )
+            assert proc.returncode == 2
+            assert "hanoi_say_seed0.json" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["gen-data", "--jobs", "2"],
+            ["gen-data", "--out", "x"],
+            ["train", "--out", "x"],
+            ["plan", "--out", "x"],
+            ["plan", "--max-steps", "5"],
+        ],
+    )
+    def test_ignored_flags_are_gone(self, flags):
+        assert run_cli(*flags).returncode == 1

@@ -3,9 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import reference_greedy_action
 from saycanpay.backends import UniformSay
-from saycanpay.core import ActionInstance, ContractError
+from saycanpay.core import SCORE_MODES, ActionInstance, ContractError
 from saycanpay.decoding import (
     DecodingConfig,
     beam_action,
@@ -96,6 +98,13 @@ def _noop(history, action):
     return 1.0
 
 
+# Dyadic probabilities multiply exactly, so distinct step scores differ by far
+# more than float rounding (see test_sub_rounding_score_gap for why that
+# matters).  0 exercises the clamp; the small grid forces ties.
+_PROBS = st.sampled_from((0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0))
+_TABLE_ACTIONS = make_vocab("go north", "go east", "go south", "done now", "done here")
+
+
 class TestGreedyBeamEquivalence:
     @pytest.mark.parametrize("score_mode", ["say", "saycan", "saycanpay"])
     def test_beam_one_is_greedy_with_oracle_scorers(self, score_mode):
@@ -108,11 +117,66 @@ class TestGreedyBeamEquivalence:
             config = DecodingConfig(
                 strategy="beam-action", score_mode=score_mode, m=6, k=1
             )
-            g = greedy_action(say, can, pay, spec, config)
+            g = reference_greedy_action(say, can, pay, spec, config)
             b = beam_action(say, can, pay, spec, config)
             assert [a.text for a in g.plan] == [a.text for a in b.plan]
             assert g.final_score == b.final_score  # bit-identical
             assert g.per_step == b.per_step
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        score_mode=st.sampled_from(SCORE_MODES),
+        m=st.integers(1, 6),
+        max_steps=st.integers(1, 8),
+    )
+    def test_beam_one_is_greedy_on_random_tables(self, data, score_mode, m, max_steps):
+        proposals, p_can, f_pay = {}, {}, {}
+
+        class TableSay:
+            def propose(self, history, m):
+                key = tuple(a.text for a in history.actions)
+                if key not in proposals:
+                    proposals[key] = data.draw(
+                        st.lists(
+                            st.tuples(st.sampled_from(_TABLE_ACTIONS), _PROBS),
+                            max_size=m,
+                        )
+                    )
+                return proposals[key]
+
+        def table(values):
+            def score(history, action):
+                key = (tuple(a.text for a in history.actions), action.text)
+                if key not in values:
+                    values[key] = data.draw(_PROBS)
+                return values[key]
+            return score
+
+        say, can, pay = TableSay(), table(p_can), table(f_pay)
+        spec = reset("hanoi", 0, "train")
+        config = DecodingConfig(
+            strategy="beam-action", score_mode=score_mode, m=m, k=1,
+            max_steps=max_steps,
+        )
+        assert beam_action(say, can, pay, spec, config) == reference_greedy_action(
+            say, can, pay, spec, config
+        )
+
+    def test_sub_rounding_score_gap(self):
+        """Beam search ranks siblings by their accumulated sum; two step scores
+        closer than its rounding error tie there and fall to the lexicographic
+        order, where the reference loop still takes the larger step score."""
+        a, b, c = make_vocab("go a", "go b", "go c")
+        say = _ScriptedSay(
+            {(): [(c, 0.0)], ("go c",): [(a, 0.5), (b, 0.5 + 2**-53)]}
+        )
+        spec = reset("hanoi", 0, "train")
+        config = DecodingConfig(score_mode="say", m=2, k=1, max_steps=2)
+        beam = beam_action(say, _noop, _noop, spec, config)
+        greedy = reference_greedy_action(say, _noop, _noop, spec, config)
+        assert [x.text for x in beam.plan] == ["go c", "go a"]
+        assert [x.text for x in greedy.plan] == ["go c", "go b"]
 
 
 class TestBeamSearch:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from saycanpay.core import ContractError
+from saycanpay.core import ContractError, ModelFileError
 from saycanpay.decoding import DecodingConfig, PlanResult
 from saycanpay.envs import get_env, reset
 from saycanpay.evaluate import (
@@ -22,6 +22,7 @@ from saycanpay.evaluate import (
     summarize,
     write_report,
 )
+from saycanpay.models import LinearScorer
 from saycanpay.oracle import bfs_plan
 
 
@@ -153,6 +154,12 @@ class TestModelStore:
         a = store.load("hanoi", "can", 0)
         b = store.load("hanoi", "can", 0)
         assert a is b and a is not None
+
+    def test_load_rejects_a_file_holding_another_model(self, tmp_path):
+        store = ModelStore(tmp_path)
+        LinearScorer("pay", "hanoi", head="sigmoid").save(store.path("hanoi", "can", 0))
+        with pytest.raises(ModelFileError, match="hanoi_can_seed0.json"):
+            store.load("hanoi", "can", 0)
 
 
 class TestRunCells:

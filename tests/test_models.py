@@ -14,6 +14,7 @@ from saycanpay.core import (
     ContractError,
     GoalSpec,
     History,
+    ModelFileError,
 )
 from saycanpay.envs import get_env, reset
 from saycanpay.features import DIM, featurize
@@ -218,6 +219,26 @@ class TestLinearScorer:
         assert loaded.score(goal, history, action) == scorer.score(
             goal, history, action
         )
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"dim": 10},
+            {"weights": [0.0] * 10},
+            {"weights": [math.nan] * DIM},
+            {"bias": math.inf},
+            {"profile": "fancy"},
+            {"kind": "pray"},
+        ],
+    )
+    def test_load_rejects_a_bad_file(self, tmp_path, change):
+        path = tmp_path / "model.json"
+        LinearScorer("can", "blocks", head="sigmoid").save(path)
+        payload = json.loads(path.read_text())
+        payload.update(change)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFileError, match="model.json"):
+            LinearScorer.load(path)
 
     def test_check_env_mismatch(self):
         scorer = LinearScorer("can", "blocks", head="sigmoid")
@@ -438,8 +459,15 @@ class TestExternalSay:
             external_say("127.0.0.1:1", History("obs"), goal, m=2, timeout=0.5)
 
     def test_malformed_payload_raises_adapter_error(self):
-        server = _FakeProposerServer({"unexpected": []})
         goal = GoalSpec(text="g", predicate=("p",))
-        with pytest.raises(AdapterError):
-            external_say(f"127.0.0.1:{server.port}", History("obs"), goal, m=1)
-        server.close()
+        for payload in (
+            {"unexpected": []},
+            {"candidates": [{"text": "go", "logprob": math.nan,
+                             "token_logprobs": [0.0]}]},
+            {"candidates": [{"text": "go", "logprob": 0.0,
+                             "token_logprobs": [-math.inf]}]},
+        ):
+            server = _FakeProposerServer(payload)
+            with pytest.raises(AdapterError):
+                external_say(f"127.0.0.1:{server.port}", History("obs"), goal, m=1)
+            server.close()
