@@ -20,7 +20,7 @@ from .decoding import DecodingConfig, PlanResult, run_strategy
 from .envs import ENV_IDS, Environment, EpisodeSpec, get_env, reset
 from .evaluate import BackendChoice, EpisodeResult, evaluate_episodes, plan_episode
 from .models import LinearScorer, SayPolicy, TrainConfig, train
-from .oracle import DELTA, Trajectory, bfs_plan, oracle_pay
+from .oracle import DELTA, Trajectory, bfs_plan
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "evaluate_episodes",
     "get_env",
     "length_normalize",
-    "oracle_pay",
     "plan_episode",
     "reset",
     "run_strategy",

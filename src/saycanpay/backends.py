@@ -3,17 +3,36 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ActionInstance, ContractError, History
-from .envs import Environment, EpisodeSpec, breadth_first_plan
-from .models import SayPolicy, external_say, perfect_say, say_top_m
+from .envs import Environment, EpisodeSpec
+from .models import LinearScorer, SayPolicy, external_say, perfect_say, say_top_m
 from .oracle import DELTA, OracleCan, OraclePay, ReplayCache
 
 SAY_BACKENDS = ("trained", "uniform", "perfect-say", "external")
 CAN_BACKENDS = ("trained", "oracle")
 PAY_BACKENDS = ("trained", "oracle")
+
+
+@dataclass(frozen=True)
+class BackendChoice:
+    """Which scorer implementation fills each of the say/can/pay roles."""
+
+    say: str = "trained"
+    can: str = "trained"
+    pay: str = "trained"
+    say_policy: SayPolicy | None = None
+    can_model: LinearScorer | None = None
+    pay_model: LinearScorer | None = None
+    endpoint: str | None = None
+    seed: int = 0
+    delta: float = DELTA
+
+    def fingerprint(self) -> str:
+        return f"say={self.say},can={self.can},pay={self.pay},seed={self.seed}"
 
 
 class UniformSay:
@@ -50,21 +69,18 @@ class TrainedSay:
 class PerfectSay:
     """Always proposes the oracle-optimal next action among random distractors."""
 
-    def __init__(self, env: Environment, spec: EpisodeSpec, seed: int = 0):
-        self.env = env
-        self.spec = spec
-        self.vocab = env.admissible_actions(spec)
+    def __init__(self, oracle: ReplayCache, seed: int = 0):
+        self.oracle = oracle
+        self.vocab = oracle.env.admissible_actions(oracle.spec)
         self.seed = seed
-        self.replay = ReplayCache(env, spec)
 
     def propose(self, history: History, m: int) -> list[tuple[ActionInstance, float]]:
-        state = self.replay.state_for(history)
-        if state is None:
-            return []
-        plan = breadth_first_plan(self.env, self.spec, start_state=state)
+        state = self.oracle.state_for(history)
+        plan = None if state is None else self.oracle.plan_from(state)
         if plan is None:
             return []
-        step_seed = _stable_seed(self.spec.episode_id, self.seed, len(history.actions))
+        episode_id = self.oracle.spec.episode_id
+        step_seed = _stable_seed(episode_id, self.seed, len(history.actions))
         return perfect_say(plan[0], self.vocab, m, step_seed)
 
 
@@ -109,46 +125,37 @@ def _stable_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def make_say_backend(
-    name: str,
-    env: Environment,
-    spec: EpisodeSpec,
-    policy: SayPolicy | None = None,
-    endpoint: str | None = None,
-    seed: int = 0,
-):
-    if name == "uniform":
-        return UniformSay(env, spec)
-    if name == "trained":
-        if policy is None:
+def episode_backends(choice: BackendChoice, env: Environment, spec: EpisodeSpec):
+    """The (say, can, pay) scorers for one episode; the oracle roles share
+    one ReplayCache."""
+    for role, names in (
+        ("say", SAY_BACKENDS), ("can", CAN_BACKENDS), ("pay", PAY_BACKENDS)
+    ):
+        if getattr(choice, role) not in names:
+            raise ContractError(f"unknown {role} backend {getattr(choice, role)!r}")
+    oracle = ReplayCache(env, spec)
+    if choice.say == "uniform":
+        say = UniformSay(env, spec)
+    elif choice.say == "perfect-say":
+        say = PerfectSay(oracle, choice.seed)
+    elif choice.say == "trained":
+        if choice.say_policy is None:
             raise ContractError("trained say backend needs a policy")
-        return TrainedSay(env, spec, policy)
-    if name == "perfect-say":
-        return PerfectSay(env, spec, seed)
-    if name == "external":
-        if endpoint is None:
+        say = TrainedSay(env, spec, choice.say_policy)
+    else:
+        if choice.endpoint is None:
             raise ContractError("external say backend needs an endpoint")
-        return ExternalSay(env, spec, endpoint)
-    raise ContractError(f"unknown say backend {name!r}")
-
-
-def make_can_backend(name: str, env: Environment, spec: EpisodeSpec, model=None):
-    if name == "oracle":
-        return OracleCan(env, spec)
-    if name == "trained":
-        if model is None:
-            raise ContractError("trained can backend needs a model")
-        return TrainedCan(spec, model)
-    raise ContractError(f"unknown can backend {name!r}")
-
-
-def make_pay_backend(
-    name: str, env: Environment, spec: EpisodeSpec, model=None, delta: float = DELTA
-):
-    if name == "oracle":
-        return OraclePay(env, spec, delta)
-    if name == "trained":
-        if model is None:
-            raise ContractError("trained pay backend needs a model")
-        return TrainedPay(spec, model)
-    raise ContractError(f"unknown pay backend {name!r}")
+        say = ExternalSay(env, spec, choice.endpoint)
+    if choice.can == "oracle":
+        can = OracleCan(oracle)
+    elif choice.can_model is None:
+        raise ContractError("trained can backend needs a model")
+    else:
+        can = TrainedCan(spec, choice.can_model)
+    if choice.pay == "oracle":
+        pay = OraclePay(oracle, choice.delta)
+    elif choice.pay_model is None:
+        raise ContractError("trained pay backend needs a model")
+    else:
+        pay = TrainedPay(spec, choice.pay_model)
+    return say, can, pay

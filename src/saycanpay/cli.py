@@ -8,7 +8,8 @@ import os
 import sys
 from pathlib import Path
 
-from .core import ContractError
+from .backends import CAN_BACKENDS, PAY_BACKENDS, SAY_BACKENDS
+from .core import SCORE_MODES, ContractError
 from .data import (
     generate_dataset,
     make_can_samples,
@@ -17,7 +18,7 @@ from .data import (
     split_path,
 )
 from .decoding import DecodingConfig, STRATEGIES
-from .envs import ENV_IDS, get_env
+from .envs import ENV_IDS, SPLITS, get_env
 from .evaluate import (
     ModelStore,
     ablate,
@@ -26,7 +27,7 @@ from .evaluate import (
     run_matrix,
     write_report,
 )
-from .models import TrainConfig, train
+from .models import MODEL_KINDS, TrainConfig, train
 from .oracle import DELTA
 
 EXIT_OK = 0
@@ -71,9 +72,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser: _Parser, names: list[str]) -> None:
     specs = {
         "env": dict(choices=ENV_IDS),
-        "split": dict(choices=("train", "test", "test-generalize")),
+        "split": dict(choices=SPLITS),
         "strategy": dict(choices=STRATEGIES),
-        "score": dict(choices=("say", "saycan", "saycanpay")),
+        "score": dict(choices=SCORE_MODES),
         "m": dict(type=int),
         "k": dict(type=int),
         "delta": dict(type=float),
@@ -83,15 +84,15 @@ def _add_common(parser: _Parser, names: list[str]) -> None:
         "epochs": dict(type=int),
         "seed": dict(type=int),
         "jobs": dict(type=int),
-        "backend-say": dict(choices=("trained", "uniform", "perfect-say", "external")),
-        "backend-can": dict(choices=("trained", "oracle")),
-        "backend-pay": dict(choices=("trained", "oracle")),
+        "backend-say": dict(choices=SAY_BACKENDS),
+        "backend-can": dict(choices=CAN_BACKENDS),
+        "backend-pay": dict(choices=PAY_BACKENDS),
         "adapter-endpoint": dict(),
         "out": dict(),
         "train": dict(type=int),
         "test": dict(type=int),
         "gen": dict(type=int),
-        "kind": dict(choices=("can", "pay", "say", "all")),
+        "kind": dict(choices=(*MODEL_KINDS, "all")),
         "data": dict(),
         "models": dict(),
     }

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..core import ActionInstance, ContractError, GoalSpec, InfeasibleActionError
 from .base import DEFAULT_MAX_STEPS, Environment, EpisodeSpec, SymbolicState
@@ -23,11 +24,11 @@ class BlocksState(SymbolicState):
 
     env_id = "blocks"
 
-    @property
+    @cached_property
     def blocks(self) -> tuple[str, ...]:
         return tuple(e for e in self.listing if " block " in f" {e} ")
 
-    @property
+    @cached_property
     def bowls(self) -> tuple[str, ...]:
         return tuple(e for e in self.listing if " bowl " in f" {e} ")
 

@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .backends import make_can_backend, make_pay_backend, make_say_backend
+from .backends import BackendChoice, episode_backends
 from .core import ContractError, ModelFileError
 from .data import read_trajectories, split_path
 from .decoding import DecodingConfig, PlanResult, run_strategy
@@ -28,24 +28,6 @@ class EpisodeResult:
     plan_length: int
     optimal_length: int
     wall_time: float
-
-
-@dataclass(frozen=True)
-class BackendChoice:
-    """Which scorer implementation fills each of the say/can/pay roles."""
-
-    say: str = "trained"
-    can: str = "trained"
-    pay: str = "trained"
-    say_policy: SayPolicy | None = None
-    can_model: LinearScorer | None = None
-    pay_model: LinearScorer | None = None
-    endpoint: str | None = None
-    seed: int = 0
-    delta: float = DELTA
-
-    def fingerprint(self) -> str:
-        return f"say={self.say},can={self.can},pay={self.pay},seed={self.seed}"
 
 
 def execute_plan(
@@ -105,14 +87,7 @@ def plan_episode(
     env = get_env(env_id)
     spec = traj.episode
     started = time.perf_counter()
-    say = make_say_backend(
-        backends.say, env, spec,
-        policy=backends.say_policy, endpoint=backends.endpoint, seed=backends.seed,
-    )
-    can = make_can_backend(backends.can, env, spec, model=backends.can_model)
-    pay = make_pay_backend(
-        backends.pay, env, spec, model=backends.pay_model, delta=backends.delta
-    )
+    say, can, pay = episode_backends(backends, env, spec)
     vocab = env.admissible_actions(spec)
     config = replace(config, max_steps=spec.max_steps)
     plan = run_strategy(spec, config, say, can, pay, vocab=vocab)

@@ -38,17 +38,13 @@ class FeatureVector:
     values: tuple[float, ...]
 
 
-def _fnv(gram: str, hash_seed: int) -> int:
-    h = (1469598103934665603 ^ hash_seed) & _MASK
+@lru_cache(maxsize=1_000_000)
+def bucket(gram: str) -> int:
+    """Stable FNV-1a string hash into [0, DIM)."""
+    h = (1469598103934665603 ^ HASH_SEED) & _MASK
     for byte in gram.encode("utf-8"):
         h = ((h ^ byte) * 1099511628211) & _MASK
     return h % DIM
-
-
-@lru_cache(maxsize=1_000_000)
-def bucket(gram: str, hash_seed: int = HASH_SEED) -> int:
-    """Stable multiplicative string hash into [0, DIM)."""
-    return _fnv(gram, hash_seed)
 
 
 def tokenize(text: str) -> list[str]:
@@ -106,12 +102,10 @@ def feature_grams(
 
 @lru_cache(maxsize=200_000)
 def _featurize_cached(
-    goal: GoalSpec, history: History, action: ActionInstance,
-    hash_seed: int, profile: str, scale: float,
+    goal: GoalSpec, history: History, action: ActionInstance, profile: str
 ) -> FeatureVector:
-    counts = Counter(
-        bucket(g, hash_seed) for g in feature_grams(goal, history, action, profile)
-    )
+    scale = FEATURE_SCALE if profile == "full" else PLAIN_SCALE
+    counts = Counter(bucket(g) for g in feature_grams(goal, history, action, profile))
     indices = tuple(sorted(counts))
     return FeatureVector(
         indices=indices,
@@ -120,13 +114,6 @@ def _featurize_cached(
 
 
 def featurize(
-    goal: GoalSpec,
-    history: History,
-    action: ActionInstance,
-    hash_seed: int = HASH_SEED,
-    profile: str = "full",
-    scale: float | None = None,
+    goal: GoalSpec, history: History, action: ActionInstance, profile: str = "full"
 ) -> FeatureVector:
-    if scale is None:
-        scale = FEATURE_SCALE if profile == "full" else PLAIN_SCALE
-    return _featurize_cached(goal, history, action, hash_seed, profile, scale)
+    return _featurize_cached(goal, history, action, profile)

@@ -25,6 +25,7 @@ from .oracle import Trajectory
 
 MODEL_KINDS = ("can", "pay", "say")
 CAN_CALIBRATION_RAW = 2.197  # sigmoid(2.197) ~= 0.9
+MAX_REPLY_BYTES = 1 << 20  # an adapter reply line longer than this is refused
 
 
 @dataclass
@@ -106,21 +107,18 @@ class LinearScorer:
     """Linear model over hashed features with a sigmoid or softmax head."""
 
     def __init__(self, kind: str, env: str, head: str,
-                 dim: int = DIM, hash_seed: int = HASH_SEED,
                  config: dict | None = None, profile: str | None = None):
         if kind not in MODEL_KINDS:
             raise ContractError(f"unknown model kind {kind!r}")
         self.kind = kind
         self.env = env
         self.head = head
-        self.dim = dim
-        self.hash_seed = hash_seed
         # The policy keeps the lighter feature profile so its softmax stays
         # soft enough to surface several plausible candidates; the feasibility
         # and payoff scorers use the full crosses.
         self.profile = profile or ("plain" if kind == "say" else "full")
         self.config = config or {}
-        self.weights = np.zeros(dim)
+        self.weights = np.zeros(DIM)
         self.bias = 0.0
         self.val_metric: float | None = None
         self.epoch_losses: list[float] = []
@@ -135,7 +133,7 @@ class LinearScorer:
 
     def score(self, goal: GoalSpec, history: History, action: ActionInstance) -> float:
         return self.prob(
-            featurize(goal, history, action, self.hash_seed, self.profile)
+            featurize(goal, history, action, self.profile)
         )
 
     def check_env(self, env_id: str) -> None:
@@ -148,8 +146,8 @@ class LinearScorer:
         payload = {
             "kind": self.kind,
             "env": self.env,
-            "dim": self.dim,
-            "hash_seed": self.hash_seed,
+            "dim": DIM,
+            "hash_seed": HASH_SEED,
             "profile": self.profile,
             "weights": self.weights.tolist(),
             "bias": self.bias,
@@ -172,18 +170,19 @@ class LinearScorer:
                 kind=payload["kind"],
                 env=payload["env"],
                 head=head,
-                dim=payload["dim"],
-                hash_seed=payload["hash_seed"],
                 config=config,
                 profile=payload.get("profile"),
             )
+            dim, hash_seed = payload["dim"], payload["hash_seed"]
             scorer.weights = np.array(payload["weights"], dtype=float)
             scorer.bias = float(payload["bias"])
             scorer.val_metric = payload["val_metric"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFileError(f"malformed model file {path}: {exc}") from exc
-        if scorer.dim != DIM or scorer.weights.shape != (DIM,):
-            problem = f"dim {scorer.dim} with {scorer.weights.size} weights, need {DIM}"
+        if dim != DIM or scorer.weights.shape != (DIM,):
+            problem = f"dim {dim} with {scorer.weights.size} weights, need {DIM}"
+        elif hash_seed != HASH_SEED:
+            problem = f"hash seed {hash_seed}, need {HASH_SEED}"
         elif not (np.isfinite(scorer.weights).all() and math.isfinite(scorer.bias)):
             problem = "non-finite weights or bias"
         elif scorer.profile not in PROFILES:
@@ -207,8 +206,7 @@ class SayPolicy:
         z = np.array(
             [
                 self.scorer.raw(
-                    featurize(goal, history, a, self.scorer.hash_seed,
-                              self.scorer.profile)
+                    featurize(goal, history, a, self.scorer.profile)
                 )
                 for a in vocab
             ]
@@ -470,18 +468,20 @@ def external_say(
     try:
         with socket.create_connection((host, int(port)), timeout=timeout) as conn:
             conn.sendall((json.dumps(request) + "\n").encode("utf-8"))
-            chunks = []
-            while True:
+            reply = b""
+            while b"\n" not in reply and len(reply) <= MAX_REPLY_BYTES:
                 chunk = conn.recv(65536)
                 if not chunk:
                     break
-                chunks.append(chunk)
-                if b"\n" in chunk:
-                    break
-        line = b"".join(chunks).split(b"\n", 1)[0]
-        payload = json.loads(line)
+                reply += chunk
+        line = reply.split(b"\n", 1)[0]
+        if len(line) > MAX_REPLY_BYTES:
+            raise ValueError(f"reply longer than {MAX_REPLY_BYTES} bytes")
+        candidates = json.loads(line)["candidates"]
+        if len(candidates) > m:
+            raise ValueError(f"{len(candidates)} candidates, at most m={m} allowed")
         out = []
-        for cand in payload["candidates"][:m]:
+        for cand in candidates:
             logprobs = [cand["logprob"], *cand["token_logprobs"]]
             if not all(math.isfinite(lp) for lp in logprobs):
                 raise ValueError(f"non-finite log-probability in {cand!r}")

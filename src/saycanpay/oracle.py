@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .core import ActionInstance, GoalSpec, History, UnsolvableError
+from .core import ActionInstance, History, UnsolvableError
 from .envs import Environment, EpisodeSpec, breadth_first_plan
 from .envs.base import SymbolicState
 
@@ -29,16 +28,9 @@ def bfs_plan(env: Environment, spec: EpisodeSpec) -> Trajectory:
     return Trajectory(episode=spec, actions=tuple(plan))
 
 
-def optimal_remaining(
-    env: Environment, spec: EpisodeSpec, state: SymbolicState
-) -> float:
-    """BFS distance to the goal in actions, including the final done action."""
-    plan = breadth_first_plan(env, spec, start_state=state)
-    return math.inf if plan is None else len(plan)
-
-
 class ReplayCache:
-    """Maps histories to symbolic states by replaying actions from the start.
+    """The per-episode oracle: the state each history reaches, and the
+    optimal plan from each state.
 
     A history that contains an infeasible action maps to None; everything
     downstream of it is treated as broken.
@@ -50,6 +42,7 @@ class ReplayCache:
         self._states: dict[tuple[str, ...], SymbolicState | None] = {
             (): spec.init_state
         }
+        self._plans: dict[SymbolicState, tuple[ActionInstance, ...] | None] = {}
 
     def state_for(self, history: History) -> SymbolicState | None:
         key = tuple(a.text for a in history.actions)
@@ -72,58 +65,54 @@ class ReplayCache:
             self._states[prefix] = state
         return state
 
+    def plan_from(self, state: SymbolicState) -> tuple[ActionInstance, ...] | None:
+        """breadth_first_plan from `state` (done action included), memoized.
+
+        A suffix of the shortest, lexicographically first plan is the
+        shortest, lexicographically first plan from the state it starts in,
+        and it fits max_steps, so every suffix of a found plan is stored.
+        """
+        if state in self._plans:
+            return self._plans[state]
+        found = breadth_first_plan(self.env, self.spec, start_state=state)
+        if found is None:
+            self._plans[state] = None
+            return None
+        plan = tuple(found)
+        for i, action in enumerate(plan):
+            self._plans[state] = plan[i:]
+            if not action.is_done:
+                state = self.env.step(state, self.spec.goal, action)
+        return plan
+
 
 class OracleCan:
     """Exact feasibility: 1.0 iff the action's precondition holds."""
 
-    def __init__(self, env: Environment, spec: EpisodeSpec):
-        self.replay = ReplayCache(env, spec)
-        self.env = env
-        self.goal = spec.goal
+    def __init__(self, oracle: ReplayCache):
+        self.oracle = oracle
 
     def __call__(self, history: History, action: ActionInstance) -> float:
-        state = self.replay.state_for(history)
+        state = self.oracle.state_for(history)
         if state is None:
             return 0.0
-        return 1.0 if self.env.precondition_holds(state, self.goal, action) else 0.0
+        env, goal = self.oracle.env, self.oracle.spec.goal
+        return 1.0 if env.precondition_holds(state, goal, action) else 0.0
 
 
 class OraclePay:
     """Discounted distance-to-goal payoff: delta ** (remaining actions after a)."""
 
-    def __init__(self, env: Environment, spec: EpisodeSpec, delta: float = DELTA):
-        self.replay = ReplayCache(env, spec)
-        self.env = env
-        self.spec = spec
+    def __init__(self, oracle: ReplayCache, delta: float = DELTA):
+        self.oracle = oracle
         self.delta = delta
-        self._remaining: dict[SymbolicState, float] = {}
-
-    def _remaining_from(self, state: SymbolicState) -> float:
-        if state not in self._remaining:
-            self._remaining[state] = optimal_remaining(self.env, self.spec, state)
-        return self._remaining[state]
 
     def __call__(self, history: History, action: ActionInstance) -> float:
-        state = self.replay.state_for(history)
-        if state is None:
-            return 0.0
-        if not self.env.precondition_holds(state, self.spec.goal, action):
+        state = self.oracle.state_for(history)
+        env, goal = self.oracle.env, self.oracle.spec.goal
+        if state is None or not env.precondition_holds(state, goal, action):
             return 0.0
         if action.is_done:
             return 1.0
-        nxt = self.env.step(state, self.spec.goal, action)
-        remaining = self._remaining_from(nxt)
-        if math.isinf(remaining):
-            return 0.0
-        return self.delta**remaining
-
-
-def oracle_pay(
-    env: Environment,
-    spec: EpisodeSpec,
-    history: History,
-    action: ActionInstance,
-    delta: float = DELTA,
-) -> float:
-    """One-shot convenience wrapper around OraclePay."""
-    return OraclePay(env, spec, delta)(history, action)
+        plan = self.oracle.plan_from(env.step(state, goal, action))
+        return 0.0 if plan is None else self.delta ** len(plan)

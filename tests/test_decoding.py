@@ -17,7 +17,7 @@ from saycanpay.decoding import (
     word_edit_distance,
 )
 from saycanpay.envs import get_env, reset
-from saycanpay.oracle import OracleCan, OraclePay
+from saycanpay.oracle import OracleCan, OraclePay, ReplayCache
 
 
 def make_vocab(*texts):
@@ -112,8 +112,8 @@ class TestGreedyBeamEquivalence:
         for seed in range(10):
             spec = reset("hanoi", seed, "test")
             say = UniformSay(env, spec)
-            can = OracleCan(env, spec)
-            pay = OraclePay(env, spec)
+            oracle = ReplayCache(env, spec)
+            can, pay = OracleCan(oracle), OraclePay(oracle)
             config = DecodingConfig(
                 strategy="beam-action", score_mode=score_mode, m=6, k=1
             )
@@ -209,8 +209,8 @@ class TestBeamSearch:
         for seed in range(10):
             spec = reset("gridworld", seed, "test")
             say = UniformSay(env, spec)
-            can = OracleCan(env, spec)
-            pay = OraclePay(env, spec)
+            oracle = ReplayCache(env, spec)
+            can, pay = OracleCan(oracle), OraclePay(oracle)
             scores = []
             for k in (1, 2, 3):
                 config = DecodingConfig(
@@ -272,8 +272,8 @@ class TestRunStrategy:
         env = get_env("blocks")
         spec = reset("blocks", 1, "test")
         say = UniformSay(env, spec)
-        can = OracleCan(env, spec)
-        pay = OraclePay(env, spec)
+        oracle = ReplayCache(env, spec)
+        can, pay = OracleCan(oracle), OraclePay(oracle)
         config = DecodingConfig(strategy="greedy-action", score_mode="saycanpay")
         via_dispatch = run_strategy(spec, config, say, can, pay)
         direct = greedy_action(say, can, pay, spec, config)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from saycanpay.backends import episode_backends
 from saycanpay.core import ContractError, ModelFileError
 from saycanpay.decoding import DecodingConfig, PlanResult
 from saycanpay.envs import get_env, reset
@@ -119,6 +120,31 @@ class TestMetrics:
 
 
 ORACLE_BACKENDS = BackendChoice(say="uniform", can="oracle", pay="oracle")
+
+
+class TestEpisodeBackends:
+    def test_oracle_roles_share_one_oracle(self):
+        spec = reset("hanoi", 0, "test")
+        choice = BackendChoice(say="perfect-say", can="oracle", pay="oracle")
+        say, can, pay = episode_backends(choice, get_env("hanoi"), spec)
+        assert say.oracle is can.oracle is pay.oracle
+
+    @pytest.mark.parametrize(
+        "choice",
+        [
+            BackendChoice(say="psychic"),
+            BackendChoice(say="uniform", can="psychic"),
+            BackendChoice(say="uniform", can="oracle", pay="psychic"),
+            BackendChoice(say="trained", can="oracle", pay="oracle"),
+            BackendChoice(say="uniform", can="trained", pay="oracle"),
+            BackendChoice(say="uniform", can="oracle", pay="trained"),
+            BackendChoice(say="external", can="oracle", pay="oracle"),
+        ],
+    )
+    def test_bad_choice_is_a_contract_error(self, choice):
+        spec = reset("hanoi", 0, "test")
+        with pytest.raises(ContractError):
+            episode_backends(choice, get_env("hanoi"), spec)
 
 
 class TestEvaluateEpisodes:

@@ -30,7 +30,6 @@ def test_tokenize_lowercases_and_splits():
 def test_bucket_is_stable_and_in_range():
     assert bucket("g:red") == bucket("g:red")
     assert 0 <= bucket("g:red") < DIM
-    assert 0 <= bucket("g:red", hash_seed=1) < DIM
 
 
 def test_featurize_is_deterministic():
@@ -91,12 +90,6 @@ def test_profile_scales_differ():
     plain = featurize(goal, history, action, profile="plain")
     assert min(full.values) == FEATURE_SCALE
     assert min(plain.values) == PLAIN_SCALE
-
-
-def test_explicit_scale_overrides_default():
-    goal, history, action = triple()
-    fv = featurize(goal, history, action, scale=1.0)
-    assert min(fv.values) == 1.0
 
 
 def test_collision_rate_on_real_vocabulary_grams():

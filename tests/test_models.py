@@ -19,6 +19,7 @@ from saycanpay.core import (
 from saycanpay.envs import get_env, reset
 from saycanpay.features import DIM, featurize
 from saycanpay.models import (
+    MAX_REPLY_BYTES,
     AdamW,
     LinearScorer,
     SayPolicy,
@@ -229,6 +230,7 @@ class TestLinearScorer:
             {"bias": math.inf},
             {"profile": "fancy"},
             {"kind": "pray"},
+            {"hash_seed": 1},
         ],
     )
     def test_load_rejects_a_bad_file(self, tmp_path, change):
@@ -413,7 +415,10 @@ class _FakeProposerServer:
         while b"\n" not in buf:
             buf += conn.recv(65536)
         self.request = json.loads(buf.split(b"\n", 1)[0])
-        conn.sendall((json.dumps(self.response) + "\n").encode())
+        try:
+            conn.sendall((json.dumps(self.response) + "\n").encode())
+        except OSError:  # the client hangs up on an oversized reply
+            pass
         conn.close()
 
     def close(self):
@@ -466,6 +471,9 @@ class TestExternalSay:
                              "token_logprobs": [0.0]}]},
             {"candidates": [{"text": "go", "logprob": 0.0,
                              "token_logprobs": [-math.inf]}]},
+            {"candidates": [{"text": "go", "logprob": 0.0,
+                             "token_logprobs": [0.0]}] * 2},
+            {"candidates": [], "padding": "x" * MAX_REPLY_BYTES},
         ):
             server = _FakeProposerServer(payload)
             with pytest.raises(AdapterError):

@@ -1,11 +1,12 @@
 """BFS planner optimality and the oracle feasibility/payoff scorers."""
 
-import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from saycanpay.core import History, UnsolvableError
-from saycanpay.envs import get_env, reset
+from saycanpay.envs import ENV_IDS, SPLITS, breadth_first_plan, get_env, reset
 from saycanpay.envs.hanoi import HanoiState
 from saycanpay.oracle import (
     DELTA,
@@ -13,15 +14,14 @@ from saycanpay.oracle import (
     OraclePay,
     ReplayCache,
     bfs_plan,
-    optimal_remaining,
-    oracle_pay,
 )
 
 
-def exhaustive_shortest(env, spec, limit=8):
+def exhaustive_shortest(env, spec, limit=8, start=None):
     """Reference breadth-first enumeration of all action sequences."""
-    frontier = [(spec.init_state, 0)]
-    seen = {spec.init_state}
+    start = spec.init_state if start is None else start
+    frontier = [(start, 0)]
+    seen = {start}
     moves = [a for a in env.admissible_actions(spec) if not a.is_done]
     for depth in range(limit + 1):
         nxt = []
@@ -82,17 +82,17 @@ def test_unsolvable_episode_raises():
         bfs_plan(env, broken)
 
 
-def test_optimal_remaining_at_goal_is_one():
+def test_plan_from_the_goal_is_the_done_action():
     env = get_env("hanoi")
     spec = reset("hanoi", 0, "train")
     traj = bfs_plan(env, spec)
     state = spec.init_state
     for action in traj.actions[:-1]:
         state = env.step(state, spec.goal, action)
-    assert optimal_remaining(env, spec, state) == 1  # just the done action
+    assert ReplayCache(env, spec).plan_from(state) == traj.actions[-1:]
 
 
-def test_optimal_remaining_unreachable_is_inf():
+def test_plan_from_an_unsolvable_state_is_none():
     env = get_env("hanoi")
     spec = reset("hanoi", 0, "train")
     broken = type(spec)(
@@ -101,7 +101,70 @@ def test_optimal_remaining_unreachable_is_inf():
     )
     if env.is_goal(spec.init_state, spec.goal):
         pytest.skip("goal already satisfied at the start")
-    assert math.isinf(optimal_remaining(env, broken, spec.init_state))
+    assert ReplayCache(env, broken).plan_from(spec.init_state) is None
+
+
+def _random_walk(env, spec, choices):
+    """The state reached by taking, at each step, the feasible move that
+    `choices` indexes (modulo the number of feasible moves)."""
+    state = spec.init_state
+    moves = [a for a in env.admissible_actions(spec) if not a.is_done]
+    for choice in choices:
+        feasible = [a for a in moves if env.precondition_holds(state, spec.goal, a)]
+        if not feasible:
+            break
+        state = env.step(state, spec.goal, feasible[choice % len(feasible)])
+    return state
+
+
+_WALK = st.lists(st.integers(0, 1000), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    env_id=st.sampled_from(ENV_IDS),
+    seed=st.integers(0, 10_000),
+    max_steps=st.one_of(st.none(), st.integers(1, 5)),
+)
+def test_plan_from_matches_a_fresh_search(data, env_id, seed, max_steps):
+    """Memoized plans, including the suffixes stored for states never
+    searched from, equal a fresh BFS from the same state."""
+    env = get_env(env_id)
+    spec = reset(env_id, seed, "train")
+    if max_steps is not None:
+        spec = replace(spec, max_steps=max_steps)
+    oracle = ReplayCache(env, spec)
+    walks = data.draw(st.lists(_WALK, min_size=1, max_size=4))
+    pending = [_random_walk(env, spec, walk) for walk in walks]
+    for _ in range(12):
+        if not pending:
+            break
+        state = pending.pop(data.draw(st.integers(0, len(pending) - 1)))
+        plan = oracle.plan_from(state)
+        fresh = breadth_first_plan(env, spec, start_state=state)
+        assert plan == (None if fresh is None else tuple(fresh))
+        for action in (plan or ())[:-1]:
+            state = env.step(state, spec.goal, action)
+            pending.append(state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    env_id=st.sampled_from(ENV_IDS),
+    seed=st.integers(0, 10_000),
+    split=st.sampled_from(SPLITS),
+    walk=_WALK,
+)
+def test_bfs_plan_length_matches_exhaustive_search_from_reachable_states(
+    env_id, seed, split, walk
+):
+    env = get_env(env_id)
+    spec = reset(env_id, seed, split)
+    state = _random_walk(env, spec, walk)
+    plan = breadth_first_plan(env, spec, start_state=state)
+    expected = exhaustive_shortest(env, spec, limit=spec.max_steps - 1, start=state)
+    assert (None if plan is None else len(plan)) == expected
 
 
 class TestReplayCache:
@@ -142,7 +205,7 @@ class TestOracleCan:
     def test_matches_preconditions(self):
         env = get_env("blocks")
         spec = reset("blocks", 2, "train")
-        can = OracleCan(env, spec)
+        can = OracleCan(ReplayCache(env, spec))
         history = History(spec.init_obs)
         for action in env.admissible_actions(spec):
             expected = 1.0 if env.precondition_holds(
@@ -153,7 +216,7 @@ class TestOracleCan:
     def test_broken_history_scores_zero(self):
         env = get_env("blocks")
         spec = reset("blocks", 2, "train")
-        can = OracleCan(env, spec)
+        can = OracleCan(ReplayCache(env, spec))
         put = next(a for a in env.admissible_actions(spec) if not a.is_done)
         history = History(spec.init_obs).extended(put).extended(put)
         assert can(history, put) == 0.0
@@ -164,7 +227,7 @@ class TestOraclePay:
         env = get_env("gridworld")
         spec = reset("gridworld", 1, "train")
         traj = bfs_plan(env, spec)
-        pay = OraclePay(env, spec)
+        pay = OraclePay(ReplayCache(env, spec))
         history = History(spec.init_obs)
         horizon = len(traj.actions)
         for t, action in enumerate(traj.actions, start=1):
@@ -178,7 +241,7 @@ class TestOraclePay:
         history = History(spec.init_obs)
         for action in traj.actions[:-1]:
             history = history.extended(action)
-        assert oracle_pay(env, spec, history, traj.actions[-1]) == 1.0
+        assert OraclePay(ReplayCache(env, spec))(history, traj.actions[-1]) == 1.0
 
     def test_one_step_from_goal_pays_delta(self):
         env = get_env("hanoi")
@@ -190,16 +253,15 @@ class TestOraclePay:
             history = History(spec.init_obs)
             for action in traj.actions[:-2]:
                 history = history.extended(action)
-            assert oracle_pay(env, spec, history, traj.actions[-2]) == pytest.approx(
-                DELTA
-            )
+            pay = OraclePay(ReplayCache(env, spec))
+            assert pay(history, traj.actions[-2]) == pytest.approx(DELTA)
             return
         pytest.fail("no multi-step episode found")
 
     def test_infeasible_action_pays_zero(self):
         env = get_env("hanoi")
         spec = reset("hanoi", 0, "train")
-        pay = OraclePay(env, spec)
+        pay = OraclePay(ReplayCache(env, spec))
         history = History(spec.init_obs)
         infeasible = next(
             a
@@ -217,7 +279,7 @@ class TestOraclePay:
         )
         if env.is_goal(spec.init_state, spec.goal):
             pytest.skip("goal already satisfied at the start")
-        pay = OraclePay(env, capped)
+        pay = OraclePay(ReplayCache(env, capped))
         history = History(spec.init_obs)
         feasible_moves = [
             a
