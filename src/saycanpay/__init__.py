@@ -4,6 +4,7 @@ from .core import (
     ActionInstance,
     AdapterError,
     ContractError,
+    DataFileError,
     GoalSpec,
     History,
     InfeasibleActionError,
@@ -29,6 +30,7 @@ __all__ = [
     "AdapterError",
     "BackendChoice",
     "ContractError",
+    "DataFileError",
     "DELTA",
     "DecodingConfig",
     "ENV_IDS",

@@ -43,6 +43,10 @@ class ModelFileError(RuntimeError):
     """A saved model file is malformed or is not the model that was asked for."""
 
 
+class DataFileError(RuntimeError):
+    """A trajectory (split) file is empty or holds a malformed line."""
+
+
 @dataclass(frozen=True)
 class GoalSpec:
     """A goal as natural language plus an environment-interpretable predicate."""

@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import ActionInstance, ContractError, GoalSpec, History
+from .core import ActionInstance, ContractError, DataFileError, GoalSpec, History
 from .envs import Environment, EpisodeSpec, get_env
 from .oracle import DELTA, Trajectory, bfs_plan
 
@@ -120,8 +120,22 @@ def write_trajectories(env: Environment, trajectories: list[Trajectory], path: P
 
 
 def read_trajectories(env: Environment, path: Path) -> list[Trajectory]:
+    """The trajectories of a split file; DataFileError names the file (and the
+    line) when it holds none or a line is not a trajectory of `env`."""
+    trajectories = []
     with open(path, encoding="utf-8") as fh:
-        return [row_to_trajectory(env, json.loads(line)) for line in fh if line.strip()]
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                trajectories.append(row_to_trajectory(env, json.loads(line)))
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise DataFileError(
+                    f"malformed trajectory file {path} line {number}: {exc!r}"
+                ) from exc
+    if not trajectories:
+        raise DataFileError(f"trajectory file {path} holds no trajectories")
+    return trajectories
 
 
 def split_path(data_dir: Path, env_id: str, split: str) -> Path:

@@ -8,16 +8,22 @@ action, observation x action) and a whole-context signature give the linear
 models the interaction terms they need.  Counts are multiplied by a fixed
 scale so the few optimizer steps the training budget allows still produce
 logits of useful magnitude.
+
+`feature_grams` + `bucket` define the features one gram at a time.
+`featurize` computes the same counts for a whole candidate list at once: it
+hashes each piece (a segment, an action's grams, a cross of two token lists)
+once into a bounded cache, so the pieces an episode shares are not hashed
+again for every (history, candidate) pair.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import ActionInstance, GoalSpec, History
+import numpy as np
+
+from .core import ActionInstance, ContractError, GoalSpec, History
 
 DIM = 2**14
 HASH_SEED = 0x9E3779B9
@@ -28,23 +34,25 @@ SIGNATURE_COUNT = 2  # extra weight on the whole-context signature grams
 
 _WORD = re.compile(r"[a-z0-9]+")
 _MASK = (1 << 64) - 1
+_FNV_OFFSET = (1469598103934665603 ^ HASH_SEED) & _MASK
+_FNV_PRIME = 1099511628211
+
+# Sizes of the piece caches; each holds far more than one episode's pieces.
+_TEXT_CACHE = 4096
+_PIECE_CACHE = 1 << 15
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sorted bucket indices with positive values."""
-
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
+def _fnv(h: int, text: str) -> int:
+    """Continue the 64-bit FNV-1a state `h` over the UTF-8 bytes of `text`."""
+    for byte in text.encode("utf-8"):
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK
+    return h
 
 
 @lru_cache(maxsize=1_000_000)
 def bucket(gram: str) -> int:
     """Stable FNV-1a string hash into [0, DIM)."""
-    h = (1469598103934665603 ^ HASH_SEED) & _MASK
-    for byte in gram.encode("utf-8"):
-        h = ((h ^ byte) * 1099511628211) & _MASK
-    return h % DIM
+    return _fnv(_FNV_OFFSET, gram) % DIM
 
 
 def tokenize(text: str) -> list[str]:
@@ -100,20 +108,117 @@ def feature_grams(
     return grams
 
 
-@lru_cache(maxsize=200_000)
-def _featurize_cached(
-    goal: GoalSpec, history: History, action: ActionInstance, profile: str
-) -> FeatureVector:
-    scale = FEATURE_SCALE if profile == "full" else PLAIN_SCALE
-    counts = Counter(bucket(g) for g in feature_grams(goal, history, action, profile))
-    indices = tuple(sorted(counts))
-    return FeatureVector(
-        indices=indices,
-        values=tuple(scale * counts[i] for i in indices),
-    )
+# ---------------------------------------------------------------------------
+# cached pieces of feature_grams, hashed into buckets
+
+
+@lru_cache(maxsize=_TEXT_CACHE)
+def _tokens(text: str) -> tuple[str, ...]:
+    return tuple(tokenize(text))
+
+
+def _hashed(grams) -> np.ndarray:
+    """Buckets of `grams` as a read-only array (the caches share it)."""
+    buckets = np.array([bucket(g) for g in grams], dtype=np.intp)
+    buckets.flags.writeable = False
+    return buckets
+
+
+@lru_cache(maxsize=_PIECE_CACHE)
+def _context(
+    goal_text: str, obs: str, recent: tuple[tuple[str, ...], ...], n_actions: int
+) -> np.ndarray:
+    """Buckets shared by every candidate: the goal, observation and
+    history-window segments (most recent action first) and the history length."""
+    grams = _grams("g", list(_tokens(goal_text)))
+    grams.extend(_grams("h:o", list(_tokens(obs))))
+    for back, tokens in enumerate(recent, start=1):
+        grams.extend(_grams(f"h:{back}", list(tokens)))
+    grams.append(f"h:len:{n_actions}")
+    return _hashed(grams)
+
+
+@lru_cache(maxsize=_PIECE_CACHE)
+def _action_piece(
+    goal_text: str, obs: str, tokens: tuple[str, ...], is_done: bool, full: bool
+) -> np.ndarray:
+    """Buckets of a candidate's own grams and, in the full profile, of its
+    goal x action (`y:`) and observation x action (`z:`) crosses."""
+    grams = _grams("a", list(tokens))
+    if is_done:
+        grams.append("a:is_done")
+    if full:
+        for tag, text in (("y", goal_text), ("z", obs)):
+            grams.extend(f"{tag}:{w1}|{w2}" for w1 in _tokens(text) for w2 in tokens)
+    return _hashed(grams)
+
+
+@lru_cache(maxsize=_PIECE_CACHE)
+def _cross(tag: str, past: tuple[str, ...], tokens: tuple[str, ...]) -> np.ndarray:
+    """Buckets of the `tag:{w1}|{w2}` crosses of a past action and a candidate."""
+    return _hashed(f"{tag}:{w1}|{w2}" for w1 in past for w2 in tokens)
+
+
+@lru_cache(maxsize=_TEXT_CACHE)
+def _prefix_state(prefix: str) -> int:
+    """FNV-1a state after a signature gram's context prefix."""
+    return _fnv(_FNV_OFFSET, prefix)
+
+
+@lru_cache(maxsize=_PIECE_CACHE)
+def _signature(state: int, text: str) -> int:
+    """Bucket of a signature gram: its prefix state continued over `text`."""
+    return _fnv(state, text) % DIM
 
 
 def featurize(
-    goal: GoalSpec, history: History, action: ActionInstance, profile: str = "full"
-) -> FeatureVector:
-    return _featurize_cached(goal, history, action, profile)
+    goal: GoalSpec,
+    history: History,
+    actions: list[ActionInstance],
+    profile: str = "full",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR rows `(indptr, indices, values)`, one per candidate action.
+
+    Row r holds the sorted distinct buckets of
+    `feature_grams(goal, history, actions[r], profile)`, each with its count
+    times the profile's scale.
+    """
+    if profile not in PROFILES:
+        raise ContractError(f"unknown feature profile {profile!r}")
+    full = profile == "full"
+    goal_text, obs = goal.text, history.init_obs
+    recent = history.actions[-HISTORY_WINDOW:][::-1]
+    context = _context(
+        goal_text, obs, tuple(a.tokens for a in recent), len(history.actions)
+    )
+    crossed = [("x", recent[0].tokens)] if recent else []
+    if full:
+        crossed.extend(
+            (f"x{back}", past.tokens) for back, past in enumerate(recent[1:], start=2)
+        )
+        texts = " / ".join(a.text for a in history.actions)
+        c_state = _prefix_state(f"c:{obs}|{texts}|")
+        d_state = _prefix_state(f"d:{texts}|")
+    pieces = []
+    lengths = []
+    for action in actions:
+        tokens = action.tokens
+        row = [context, _action_piece(goal_text, obs, tokens, action.is_done, full)]
+        row.extend(_cross(tag, past, tokens) for tag, past in crossed)
+        if full:
+            c = _signature(c_state, action.text)
+            d = _signature(d_state, action.text)
+            row.append(np.array([c] * SIGNATURE_COUNT + [d] * SIGNATURE_COUNT,
+                                dtype=np.intp))
+        pieces.extend(row)
+        lengths.append(sum(map(len, row)))
+    n_rows = len(actions)
+    if not n_rows:
+        return np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    keys = np.concatenate(pieces)
+    keys += np.repeat(np.arange(0, n_rows * DIM, DIM), lengths)
+    keys, counts = np.unique(keys, return_counts=True)
+    rows, indices = np.divmod(keys, DIM)
+    indptr = np.searchsorted(rows, np.arange(n_rows + 1))
+    scale = FEATURE_SCALE if full else PLAIN_SCALE
+    return indptr, indices, scale * counts

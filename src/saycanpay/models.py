@@ -20,7 +20,7 @@ from .core import (
     ModelFileError,
     TrainingDivergedError,
 )
-from .features import DIM, HASH_SEED, PROFILES, FeatureVector, featurize
+from .features import DIM, HASH_SEED, PROFILES, featurize
 from .oracle import Trajectory
 
 MODEL_KINDS = ("can", "pay", "say")
@@ -123,17 +123,13 @@ class LinearScorer:
         self.val_metric: float | None = None
         self.epoch_losses: list[float] = []
 
-    def raw(self, fv: FeatureVector) -> float:
-        idx = np.asarray(fv.indices, dtype=np.intp)
-        vals = np.asarray(fv.values)
-        return float(self.weights[idx] @ vals) + self.bias
-
-    def prob(self, fv: FeatureVector) -> float:
-        return sigmoid(self.raw(fv))
+    def logits(self, rows) -> list[float]:
+        """Raw score of each CSR row `(indptr, indices, values)` of `featurize`."""
+        return _row_logits(self.weights, self.bias, rows)
 
     def score(self, goal: GoalSpec, history: History, action: ActionInstance) -> float:
-        return self.prob(
-            featurize(goal, history, action, self.profile)
+        return sigmoid(
+            self.logits(featurize(goal, history, [action], self.profile))[0]
         )
 
     def check_env(self, env_id: str) -> None:
@@ -203,14 +199,8 @@ class SayPolicy:
     def action_probs(
         self, history: History, goal: GoalSpec, vocab: list[ActionInstance]
     ) -> np.ndarray:
-        z = np.array(
-            [
-                self.scorer.raw(
-                    featurize(goal, history, a, self.scorer.profile)
-                )
-                for a in vocab
-            ]
-        )
+        scorer = self.scorer
+        z = np.array(scorer.logits(featurize(goal, history, vocab, scorer.profile)))
         return softmax(z)
 
 
@@ -260,19 +250,19 @@ def perfect_say(
 # training
 
 
-def _to_arrays(fv: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
-    return np.asarray(fv.indices, dtype=np.intp), np.asarray(fv.values)
+def _row_logits(weights: np.ndarray, bias: float, rows) -> list[float]:
+    """Raw score of each CSR row: one gather, then one dot per row.
 
-
-def _raw(params: np.ndarray, feat: tuple[np.ndarray, np.ndarray]) -> float:
-    idx, vals = feat
-    return float(params[idx] @ vals) + params[-1]
-
-
-def _scatter(grad: np.ndarray, feat: tuple[np.ndarray, np.ndarray], dz: float):
-    idx, vals = feat
-    np.add.at(grad, idx, dz * vals)
-    grad[-1] += dz
+    A 1-D float64 dot is BLAS ddot, and trained models depend on its
+    rounding, so the rows are not summed by one vectorized call.
+    """
+    indptr, indices, values = rows
+    gathered = weights[indices]
+    bounds = indptr.tolist()
+    return [
+        float(gathered[s:e].dot(values[s:e])) + bias
+        for s, e in zip(bounds, bounds[1:])
+    ]
 
 
 def _split_train_val(n: int, val_fraction: float, rng: np.random.Generator):
@@ -282,11 +272,14 @@ def _split_train_val(n: int, val_fraction: float, rng: np.random.Generator):
 
 
 def _fit(kind: str, env_id: str, head: str, samples, config: TrainConfig, loss_fn):
-    """Minibatch AdamW over (candidate features, target) samples.
+    """Minibatch AdamW over (candidate rows, target) samples.
 
-    `loss_fn(logits, target) -> (loss, dlogits)` gets one raw score per
-    candidate.  Returns the scorer (epoch losses filled in), the trained
-    parameters (weights, then the bias), and the train/validation indices.
+    Each sample's rows are one `featurize` result.  `loss_fn(logits, target)
+    -> (loss, dlogits)` gets one raw score per row.  A minibatch gradient is
+    one `bincount` over the batch's (sample, row)-ordered buckets, with the
+    bias as bucket DIM.  Returns the scorer (epoch losses filled in), the
+    trained parameters (weights, then the bias), and the train/validation
+    indices.
     """
     if not samples:
         raise ContractError("empty dataset")
@@ -297,18 +290,28 @@ def _fit(kind: str, env_id: str, head: str, samples, config: TrainConfig, loss_f
     no_decay_on_bias[-1] = 0.0
     opt = AdamW(DIM + 1, config.lr, config.weight_decay, decay_mask=no_decay_on_bias)
     scorer = LinearScorer(kind, env_id, head=head, config=config.to_json())
+    row_lengths = [np.diff(rows[0]) for rows, _ in samples]
     for _ in range(config.epochs):
         order = rng.permutation(train_idx)
         losses = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            grad = np.zeros(DIM + 1)
+            buckets, values, lengths, dz_rows = [], [], [], []
             for i in batch:
-                feats, target = samples[i]
-                loss, dz = loss_fn([_raw(params, f) for f in feats], target)
+                rows, target = samples[i]
+                loss, dz = loss_fn(_row_logits(params, params[-1], rows), target)
                 losses.append(loss)
-                for f, d in zip(feats, dz):
-                    _scatter(grad, f, d)
+                dz_rows.append(dz)
+                buckets.append(rows[1])
+                values.append(rows[2])
+                lengths.append(row_lengths[i])
+            dz_rows = np.concatenate(dz_rows)
+            buckets.append(np.full(len(dz_rows), DIM))
+            weights = np.concatenate(values) * np.repeat(dz_rows, np.concatenate(lengths))
+            grad = np.bincount(
+                np.concatenate(buckets), np.concatenate([weights, dz_rows]),
+                minlength=DIM + 1,
+            )
             grad /= len(batch)
             opt.step(params, grad)
         avg = float(np.mean(losses))
@@ -327,7 +330,7 @@ def _finish(scorer: LinearScorer, params: np.ndarray, val_metric: float):
 
 def _mean_loss(params, samples, indices, loss_fn) -> float:
     losses = [
-        loss_fn([_raw(params, f) for f in samples[i][0]], samples[i][1])[0]
+        loss_fn(_row_logits(params, params[-1], samples[i][0]), samples[i][1])[0]
         for i in indices
     ]
     return float(np.mean(losses)) if len(indices) else 0.0
@@ -356,13 +359,7 @@ def _softmax_xent_logits(z, target):
 def train_can(samples, config: TrainConfig, env_id: str) -> LinearScorer:
     """InfoNCE training of the feasibility scorer on (pos, neg, neg) triples."""
     data = [
-        (
-            [
-                _to_arrays(featurize(s.goal, s.history, a))
-                for a in (s.positive, s.neg_same, s.neg_cross)
-            ],
-            None,
-        )
+        (featurize(s.goal, s.history, [s.positive, s.neg_same, s.neg_cross]), None)
         for s in samples
     ]
     scorer, params, train_idx, val_idx = _fit(
@@ -374,7 +371,7 @@ def train_can(samples, config: TrainConfig, env_id: str) -> LinearScorer:
     # after the validation metric) so the 20th-percentile training positive
     # lands at ~0.9; nearly all feasible actions then contribute ln p_can near
     # zero while vetoed actions stay strongly negative.
-    pos_raws = sorted(_raw(params, data[i][0][0]) for i in train_idx)
+    pos_raws = sorted(_row_logits(params, params[-1], data[i][0])[0] for i in train_idx)
     if pos_raws:
         anchor = pos_raws[len(pos_raws) // 5]
         params[-1] += CAN_CALIBRATION_RAW - anchor
@@ -386,7 +383,7 @@ def _can_f1(params, data, val_idx) -> float:
     of its triple's score mass (only the max-scoring candidate can)."""
     tp = fp = fn = 0
     for i in val_idx:
-        scores = [sigmoid(_raw(params, f)) for f in data[i][0]]
+        scores = [sigmoid(z) for z in _row_logits(params, params[-1], data[i][0])]
         total = sum(scores)
         best = max(range(len(scores)), key=lambda j: scores[j])
         if scores[best] / total < 0.5:
@@ -406,7 +403,7 @@ def _can_f1(params, data, val_idx) -> float:
 def train_pay(samples, config: TrainConfig, env_id: str) -> LinearScorer:
     """MSE training of the sigmoid-bounded payoff regressor."""
     data = [
-        ([_to_arrays(featurize(s.goal, s.history, s.action))], s.target)
+        (featurize(s.goal, s.history, [s.action]), s.target)
         for s in samples
     ]
     scorer, params, _, val_idx = _fit(
@@ -419,17 +416,14 @@ def train_say(
     trajectories: list[Trajectory], config: TrainConfig, env_id: str, env
 ) -> SayPolicy:
     """Full-softmax cross-entropy over each episode's vocabulary."""
-    data = []  # (candidate feature list, target index)
+    data = []  # (vocabulary rows, target index)
     for traj in trajectories:
         vocab = env.admissible_actions(traj.episode)
         text_to_idx = {a.text: i for i, a in enumerate(vocab)}
         history = History(traj.episode.init_obs)
         for action in traj.actions:
-            feats = [
-                _to_arrays(featurize(traj.episode.goal, history, a, profile="plain"))
-                for a in vocab
-            ]
-            data.append((feats, text_to_idx[action.text]))
+            rows = featurize(traj.episode.goal, history, vocab, profile="plain")
+            data.append((rows, text_to_idx[action.text]))
             history = history.extended(action)
     scorer, params, _, val_idx = _fit(
         "say", env_id, "softmax", data, config, _softmax_xent_logits

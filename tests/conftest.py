@@ -10,9 +10,12 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from saycanpay import models
 from saycanpay.core import History, ScoredCandidate, accumulate, length_normalize
 
 from saycanpay.data import (
@@ -24,7 +27,8 @@ from saycanpay.data import (
 )
 from saycanpay.decoding import PlanResult, expand_candidates
 from saycanpay.envs import ENV_IDS, get_env
-from saycanpay.models import TrainConfig, train
+from saycanpay.features import DIM, FEATURE_SCALE, PLAIN_SCALE, bucket, feature_grams
+from saycanpay.models import CAN_CALIBRATION_RAW, AdamW, TrainConfig, sigmoid, train
 from saycanpay.oracle import DELTA
 
 TRAIN_SEEDS = (0, 1, 2)
@@ -59,6 +63,106 @@ def reference_greedy_action(say, can, pay, episode, config) -> PlanResult:
         final_score=final,
         terminated_by=terminated_by,
     )
+
+
+def _reference_row(goal, history, action, profile="full"):
+    """One candidate's features: a Counter over its hashed grams, scaled."""
+    counts = Counter(bucket(g) for g in feature_grams(goal, history, action, profile))
+    indices = sorted(counts)
+    scale = FEATURE_SCALE if profile == "full" else PLAIN_SCALE
+    return (
+        np.asarray(indices, dtype=np.intp),
+        np.asarray([scale * counts[i] for i in indices]),
+    )
+
+
+def _reference_raw(params, feat):
+    idx, vals = feat
+    return float(params[idx] @ vals) + params[-1]
+
+
+def _reference_scatter(grad, feat, dz):
+    idx, vals = feat
+    np.add.at(grad, idx, dz * vals)
+    grad[-1] += dz
+
+
+def reference_train(kind, dataset, config, env=None):
+    """Independent per-row training loop: one feature row, one dot and one
+    `np.add.at` per candidate.  The library featurizes each candidate list at
+    once and takes one `bincount` per minibatch; this loop is the reference
+    that bit-identity is checked against.  Returns (weights, bias,
+    epoch_losses, val_metric)."""
+    if kind == "can":
+        data = [
+            ([_reference_row(s.goal, s.history, a)
+              for a in (s.positive, s.neg_same, s.neg_cross)], None)
+            for s in dataset
+        ]
+        loss_fn = models._infonce_logits
+    elif kind == "pay":
+        data = [([_reference_row(s.goal, s.history, s.action)], s.target)
+                for s in dataset]
+        loss_fn = models._mse_logits
+    else:
+        data = []
+        for traj in dataset:
+            vocab = env.admissible_actions(traj.episode)
+            target = {a.text: i for i, a in enumerate(vocab)}
+            history = History(traj.episode.init_obs)
+            for action in traj.actions:
+                feats = [_reference_row(traj.episode.goal, history, a, "plain")
+                         for a in vocab]
+                data.append((feats, target[action.text]))
+                history = history.extended(action)
+        loss_fn = models._softmax_xent_logits
+    rng = np.random.default_rng(config.seed)
+    train_idx, val_idx = models._split_train_val(len(data), config.val_fraction, rng)
+    params = np.zeros(DIM + 1)
+    mask = np.ones(DIM + 1)
+    mask[-1] = 0.0
+    opt = AdamW(DIM + 1, config.lr, config.weight_decay, decay_mask=mask)
+    epoch_losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(train_idx)
+        losses = []
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            grad = np.zeros(DIM + 1)
+            for i in batch:
+                feats, target = data[i]
+                loss, dz = loss_fn([_reference_raw(params, f) for f in feats], target)
+                losses.append(loss)
+                for f, d in zip(feats, dz):
+                    _reference_scatter(grad, f, d)
+            grad /= len(batch)
+            opt.step(params, grad)
+        epoch_losses.append(float(np.mean(losses)))
+
+    def logits(i):
+        return [_reference_raw(params, f) for f in data[i][0]]
+
+    if kind != "can":
+        losses = [loss_fn(logits(i), data[i][1])[0] for i in val_idx]
+        val_metric = float(np.mean(losses)) if len(val_idx) else 0.0
+        return params[:-1].copy(), float(params[-1]), epoch_losses, val_metric
+    tp = fp = fn = 0
+    for i in val_idx:
+        scores = [sigmoid(z) for z in logits(i)]
+        best = max(range(len(scores)), key=lambda j: scores[j])
+        if scores[best] / sum(scores) < 0.5:
+            fn += 1
+        elif best == 0:
+            tp += 1
+        else:
+            fp += 1
+            fn += 1
+    precision, recall = (tp / (tp + fp), tp / (tp + fn)) if tp else (0.0, 0.0)
+    val_metric = 2 * precision * recall / (precision + recall) if tp else 0.0
+    positives = sorted(logits(i)[0] for i in train_idx)
+    if positives:
+        params[-1] += CAN_CALIBRATION_RAW - positives[len(positives) // 5]
+    return params[:-1].copy(), float(params[-1]), epoch_losses, val_metric
 
 
 def train_models(data_dir, model_dir, env_ids=ENV_IDS, seeds=TRAIN_SEEDS):

@@ -181,6 +181,35 @@ class TestExitCodes:
             assert "hanoi_say_seed0.json" in proc.stderr
 
     @pytest.mark.parametrize(
+        "content, named",
+        [
+            ("", "holds no trajectories"),
+            ("\n  \n", "holds no trajectories"),
+            ("{not json\n", "line 1"),
+            (None, "line 2"),  # a valid line, then a row missing its actions
+        ],
+        ids=["empty", "blank-lines", "bad-json", "missing-key"],
+    )
+    def test_empty_or_malformed_split_file_returns_two(
+        self, tiny_data_dir, tmp_path, content, named
+    ):
+        if content is None:
+            first = (tiny_data_dir / "hanoi_test.jsonl").read_text().splitlines()[0]
+            row = json.loads(first)
+            del row["actions"]
+            content = first + "\n" + json.dumps(row) + "\n"
+        (tmp_path / "hanoi_test.jsonl").write_text(content)
+        proc = run_cli(
+            "eval", "--env", "hanoi", "--data", str(tmp_path), "--models",
+            str(tmp_path), "--out", str(tmp_path), "--jobs", "1",
+            "--backend-can", "oracle", "--backend-pay", "oracle",
+            "--backend-say", "uniform",
+        )
+        assert proc.returncode == 2
+        assert "hanoi_test.jsonl" in proc.stderr
+        assert named in proc.stderr
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ["gen-data", "--jobs", "2"],

@@ -1,9 +1,11 @@
 """Environment determinism, vocabularies, transitions, and text rendering."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from saycanpay.core import ContractError, InfeasibleActionError
-from saycanpay.envs import ENV_IDS, breadth_first_plan, get_env, reset
+from saycanpay.envs import ENV_IDS, SPLITS, breadth_first_plan, get_env, reset
+from saycanpay.envs.gridworld import CARRIED
 from saycanpay.envs.hanoi import DISK_COLORS, HanoiState
 
 
@@ -282,3 +284,98 @@ class TestGridworld:
             assert not env.precondition_holds(state, spec.goal, pick)
             return
         pytest.fail("no episode with a reachable key found")
+
+
+# ---------------------------------------------------------------------------
+# properties on random reachable states
+
+
+def _check_invariants(env_id, init, state):
+    """What every state reachable from `init` keeps."""
+    if env_id == "hanoi":
+        assert state.n_disks == init.n_disks and len(state.rods) == len(init.rods)
+        assert sorted(d for rod in state.rods for d in rod) == list(range(state.n_disks))
+        for rod in state.rods:  # larger disks below smaller ones
+            assert list(rod) == sorted(rod, reverse=True)
+    elif env_id == "blocks":
+        assert state.listing == init.listing
+        assert state.placements == tuple(sorted(state.placements))
+        placed = [block for block, _ in state.placements]
+        assert len(placed) == len(set(placed))
+        assert all(b in state.blocks and w in state.bowls for b, w in state.placements)
+    else:
+        assert state.n_rooms == init.n_rooms
+        assert [c for c, _ in state.doors] == [c for c, _ in init.doors]
+        assert 0 <= state.agent_room < state.n_rooms
+        assert sum(loc == CARRIED for *_, loc in state.objects) <= 1
+        assert all(loc == CARRIED or 0 <= loc < state.n_rooms
+                   for *_, loc in state.objects)
+
+
+def _check_transition(env_id, before, action, after):
+    """What one feasible step changes, and nothing more."""
+    if action.is_done:
+        assert after == before
+    elif env_id == "hanoi":
+        disk, target = DISK_COLORS.index(action.op[1]), int(action.op[2]) - 1
+        assert after.rods[target] == before.rods[target] + (disk,)
+        moved = [r for r in range(len(before.rods)) if after.rods[r] != before.rods[r]]
+        assert len(moved) == 2
+    elif env_id == "blocks":
+        added = set(after.placements) - set(before.placements)
+        assert added == {(action.op[1], action.op[2])}
+        assert set(before.placements) <= set(after.placements)
+    else:
+        # doors only ever unlock, and objects only ever disappear
+        assert all(not locked or was for (_, locked), (_, was)
+                   in zip(after.doors, before.doors))
+        assert {o[:2] for o in after.objects} <= {o[:2] for o in before.objects}
+
+
+def _random_walk(env_id, seed, split, choices):
+    """Yield (state, action, next state or None) along a walk that picks any
+    vocabulary action, feasible or not; infeasible ones are not applied."""
+    env = get_env(env_id)
+    spec = reset(env_id, seed, split)
+    vocab = env.admissible_actions(spec)
+    state = spec.init_state
+    for choice in choices:
+        action = vocab[choice % len(vocab)]
+        if env.precondition_holds(state, spec.goal, action):
+            nxt = env.step(state, spec.goal, action)
+            yield spec, state, action, nxt
+            state = nxt
+        else:
+            with pytest.raises(InfeasibleActionError):
+                env.step(state, spec.goal, action)
+            yield spec, state, action, None
+
+
+_walks = dict(
+    env_id=st.sampled_from(ENV_IDS),
+    seed=st.integers(0, 300),
+    split=st.sampled_from(SPLITS),
+    choices=st.lists(st.integers(0, 100), max_size=15),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_walks)
+def test_render_parse_render_roundtrip_on_reachable_states(env_id, seed, split, choices):
+    env = get_env(env_id)
+    for _, state, _, nxt in _random_walk(env_id, seed, split, choices):
+        for s in (state, nxt) if nxt is not None else (state,):
+            text = env.render_observation(s)
+            parsed = env.parse_observation(text)
+            assert parsed == s
+            assert env.render_observation(parsed) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_walks)
+def test_step_keeps_state_invariants(env_id, seed, split, choices):
+    for spec, state, action, nxt in _random_walk(env_id, seed, split, choices):
+        _check_invariants(env_id, spec.init_state, state)
+        if nxt is not None:
+            _check_invariants(env_id, spec.init_state, nxt)
+            _check_transition(env_id, state, action, nxt)

@@ -16,7 +16,7 @@ from saycanpay.core import (
     History,
     ModelFileError,
 )
-from saycanpay.envs import get_env, reset
+from saycanpay.envs import ENV_IDS, get_env, reset
 from saycanpay.features import DIM, featurize
 from saycanpay.models import (
     MAX_REPLY_BYTES,
@@ -34,6 +34,8 @@ from saycanpay.models import (
     train,
 )
 from saycanpay.trie import TokenTrie
+
+from conftest import reference_train
 
 
 class TestLosses:
@@ -257,8 +259,8 @@ class TestLinearScorer:
         say.weights = weights
         full = LinearScorer("say", "hanoi", head="softmax", profile="full")
         full.weights = weights.copy()
-        fv_plain = featurize(goal, history, action, profile="plain")
-        assert say.prob(fv_plain) == say.score(goal, history, action)
+        plain_rows = featurize(goal, history, [action], profile="plain")
+        assert sigmoid(say.logits(plain_rows)[0]) == say.score(goal, history, action)
         assert full.score(goal, history, action) != say.score(goal, history, action)
 
 
@@ -323,6 +325,30 @@ class TestPerfectSay:
 
 
 class TestTraining:
+    @pytest.mark.parametrize("env_id", ENV_IDS)
+    @pytest.mark.parametrize("kind", ["can", "pay", "say"])
+    def test_batched_training_matches_the_per_row_loop(self, env_id, kind):
+        from saycanpay.data import generate_split, make_can_samples, make_pay_samples
+
+        env = get_env(env_id)
+        trajectories = generate_split(env, "train", 12, 0)
+        dataset = {
+            "can": lambda: make_can_samples(trajectories, seed=1),
+            "pay": lambda: make_pay_samples(trajectories, seed=1),
+            "say": lambda: trajectories,
+        }[kind]()
+        # several epochs of full and partial minibatches
+        config = TrainConfig(epochs=4, batch_size=7, seed=1)
+        model = train(kind, dataset, config, env_id, env=env)
+        scorer = model.scorer if kind == "say" else model
+        weights, bias, epoch_losses, val_metric = reference_train(
+            kind, dataset, config, env
+        )
+        assert np.array_equal(scorer.weights, weights)
+        assert scorer.bias == bias
+        assert scorer.epoch_losses == epoch_losses
+        assert scorer.val_metric == val_metric
+
     def test_empty_datasets_rejected(self):
         config = TrainConfig(epochs=1)
         for kind in ("can", "pay", "say"):
