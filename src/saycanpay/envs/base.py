@@ -58,6 +58,13 @@ class Environment(ABC):
         self, state: SymbolicState, goal: GoalSpec, action: ActionInstance
     ) -> bool: ...
 
+    def applicable(
+        self, state: SymbolicState, goal: GoalSpec, actions: list[ActionInstance]
+    ) -> list[ActionInstance]:
+        """The actions whose precondition holds in `state`, in the given order;
+        a foreign action raises ContractError, as in precondition_holds."""
+        return [a for a in actions if self.precondition_holds(state, goal, a)]
+
     @abstractmethod
     def step(
         self, state: SymbolicState, goal: GoalSpec, action: ActionInstance
@@ -106,7 +113,8 @@ def breadth_first_plan(
     """Minimal action sequence (including the done action) to the goal.
 
     Expansion follows lexicographic action order, so the result is
-    deterministic. Returns None when no plan of length <= max_steps exists.
+    deterministic. Each expanded state asks the env once for its applicable
+    moves. Returns None when no plan of length <= max_steps exists.
     """
     vocab = env.admissible_actions(spec)
     done = next(a for a in vocab if a.is_done)
@@ -115,22 +123,18 @@ def breadth_first_plan(
     state = spec.init_state if start_state is None else start_state
     if env.is_goal(state, goal):
         return [done]
-    frontier = deque([state])
+    frontier = deque([(state, 0)])
     parents: dict = {state: None}
-    depth = {state: 0}
     max_moves = spec.max_steps - 1
     while frontier:
-        current = frontier.popleft()
-        if depth[current] >= max_moves:
+        current, depth = frontier.popleft()
+        if depth >= max_moves:
             continue
-        for action in moves:
-            if not env.precondition_holds(current, goal, action):
-                continue
+        for action in env.applicable(current, goal, moves):
             nxt = env.step(current, goal, action)
             if nxt in parents:
                 continue
             parents[nxt] = (current, action)
-            depth[nxt] = depth[current] + 1
             if env.is_goal(nxt, goal):
                 path = [done]
                 node = nxt
@@ -140,5 +144,5 @@ def breadth_first_plan(
                     node = prev
                 path.reverse()
                 return path
-            frontier.append(nxt)
+            frontier.append((nxt, depth + 1))
     return None

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
+from typing import NamedTuple
 
 from ..core import ActionInstance, ContractError, GoalSpec, InfeasibleActionError
 from .base import DEFAULT_MAX_STEPS, Environment, EpisodeSpec, SymbolicState
@@ -13,6 +14,29 @@ from .base import DEFAULT_MAX_STEPS, Environment, EpisodeSpec, SymbolicState
 COLORS = ("yellow", "gray", "blue", "red", "green", "orange")
 HELD_OUT_COLORS = ("purple", "brown")
 DONE_TEXT = "done placing blocks"
+
+
+class _Entities(NamedTuple):
+    blocks: tuple[str, ...]
+    bowls: tuple[str, ...]
+    block_set: frozenset[str]
+    bowl_set: frozenset[str]
+
+
+@lru_cache(maxsize=4096)
+def _entities(listing: tuple[str, ...]) -> _Entities:
+    """The blocks and bowls of a listing, shared by every state of an episode."""
+    blocks = tuple(e for e in listing if " block " in f" {e} ")
+    bowls = tuple(e for e in listing if " bowl " in f" {e} ")
+    return _Entities(blocks, bowls, frozenset(blocks), frozenset(bowls))
+
+
+@lru_cache(maxsize=4096)
+def _goal_blocks(listing: tuple[str, ...], block_color: str) -> tuple[str, ...]:
+    """The blocks of `block_color`: the ones is_goal asks about."""
+    return tuple(
+        b for b in _entities(listing).blocks if b.startswith(f"{block_color} block")
+    )
 
 
 @dataclass(frozen=True)
@@ -24,13 +48,21 @@ class BlocksState(SymbolicState):
 
     env_id = "blocks"
 
-    @cached_property
+    @property
     def blocks(self) -> tuple[str, ...]:
-        return tuple(e for e in self.listing if " block " in f" {e} ")
+        return _entities(self.listing).blocks
 
-    @cached_property
+    @property
     def bowls(self) -> tuple[str, ...]:
-        return tuple(e for e in self.listing if " bowl " in f" {e} ")
+        return _entities(self.listing).bowls
+
+    @property
+    def placed(self) -> dict[str, str]:
+        """block -> bowl, built on first use (without cached_property's lock)."""
+        placed = self.__dict__.get("_placed")
+        if placed is None:
+            placed = self.__dict__["_placed"] = dict(self.placements)
+        return placed
 
 
 class BlocksEnv(Environment):
@@ -105,20 +137,33 @@ class BlocksEnv(Environment):
 
     def _put_check(self, state: BlocksState, action: ActionInstance) -> str | None:
         block = action.op[1]
-        if any(b == block for b, _ in state.placements):
+        if block in state.placed:
             return f"{block} is already in a bowl"
         return None
 
+    def applicable(self, state, goal, actions) -> list[ActionInstance]:
+        """A put is applicable iff its block is not in a bowl yet; done iff
+        the goal holds. A put naming another listing's entities is foreign."""
+        entities = _entities(state.listing)
+        placed = state.placed
+        out = []
+        for action in actions:
+            op = action.op
+            if action.is_done:
+                if self.is_goal(state, goal):
+                    out.append(action)
+            elif (
+                op[0] != "put"
+                or op[1] not in entities.block_set
+                or op[2] not in entities.bowl_set
+            ):
+                raise ContractError(f"foreign action {action.text!r}")
+            elif op[1] not in placed:
+                out.append(action)
+        return out
+
     def precondition_holds(self, state, goal, action) -> bool:
-        if action.is_done:
-            return self.is_goal(state, goal)
-        if (
-            action.op[0] != "put"
-            or action.op[1] not in state.blocks
-            or action.op[2] not in state.bowls
-        ):
-            raise ContractError(f"foreign action {action.text!r}")
-        return self._put_check(state, action) is None
+        return bool(self.applicable(state, goal, [action]))
 
     def step(self, state, goal, action) -> BlocksState:
         if action.is_done:
@@ -135,12 +180,13 @@ class BlocksEnv(Environment):
 
     def is_goal(self, state, goal) -> bool:
         _, block_color, bowl_color = goal.predicate
-        placed = dict(state.placements)
-        return all(
-            block in placed and placed[block].startswith(f"{bowl_color} bowl")
-            for block in state.blocks
-            if block.startswith(f"{block_color} block")
-        )
+        placed = state.placed
+        goal_bowl = f"{bowl_color} bowl"
+        for block in _goal_blocks(state.listing, block_color):
+            bowl = placed.get(block)
+            if bowl is None or not bowl.startswith(goal_bowl):
+                return False
+        return True
 
     def render_observation(self, state: BlocksState) -> str:
         sentences = ["there is a " + ", ".join(state.listing) + "."]

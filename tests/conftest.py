@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -63,6 +63,49 @@ def reference_greedy_action(say, can, pay, episode, config) -> PlanResult:
         final_score=final,
         terminated_by=terminated_by,
     )
+
+
+def reference_breadth_first_plan(env, spec, start_state=None):
+    """Independent BFS that asks `precondition_holds` once per (state, move).
+
+    The library's breadth_first_plan asks the env once per expanded state
+    for its applicable moves; this loop is the reference that plan identity
+    is checked against.
+    """
+    vocab = env.admissible_actions(spec)
+    done = next(a for a in vocab if a.is_done)
+    moves = [a for a in vocab if not a.is_done]
+    goal = spec.goal
+    state = spec.init_state if start_state is None else start_state
+    if env.is_goal(state, goal):
+        return [done]
+    frontier = deque([state])
+    parents: dict = {state: None}
+    depth = {state: 0}
+    max_moves = spec.max_steps - 1
+    while frontier:
+        current = frontier.popleft()
+        if depth[current] >= max_moves:
+            continue
+        for action in moves:
+            if not env.precondition_holds(current, goal, action):
+                continue
+            nxt = env.step(current, goal, action)
+            if nxt in parents:
+                continue
+            parents[nxt] = (current, action)
+            depth[nxt] = depth[current] + 1
+            if env.is_goal(nxt, goal):
+                path = [done]
+                node = nxt
+                while parents[node] is not None:
+                    prev, act = parents[node]
+                    path.append(act)
+                    node = prev
+                path.reverse()
+                return path
+            frontier.append(nxt)
+    return None
 
 
 def _reference_row(goal, history, action, profile="full"):

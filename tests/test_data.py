@@ -1,5 +1,6 @@
 """Dataset generation, split hygiene, training samples, and persistence."""
 
+import hashlib
 import json
 
 import pytest
@@ -40,6 +41,27 @@ def test_generation_is_deterministic(env_id):
     assert [[x.text for x in t.actions] for t in a] == [
         [x.text for x in t.actions] for t in b
     ]
+
+
+# sha256 of write_trajectories(generate_split(env, split, 30, 0)): a change to
+# BFS expansion order, to sampling or to the row format changes these bytes.
+GOLDEN_SPLIT_SHA256 = {
+    ("hanoi", "train"): "629d305196c33e794152af95dc8f8ab466f4a6144dab68b7daa7fe248871c735",
+    ("hanoi", "test"): "a451947a118bc8eeb40c69fa187977d3e4b6b984227139a167c9175a8b8b5782",
+    ("blocks", "train"): "534756173e2aa5c7585dcb1ba969e9c3713bf551bf4d166998ed64d09a1a6328",
+    ("blocks", "test"): "8a99f2ac515bc1c122b005272f3606ad9608be4072bf66c34163b76b55bf41e0",
+    ("gridworld", "train"): "7bea659242bc1f1637d07347cc012e5b7bb34725b8092583680ab79136599e3b",
+    ("gridworld", "test"): "2fcf86635df72ce689844e48d0f5890ea37e4f3fdab8125675557783c4bc291f",
+}
+
+
+@pytest.mark.parametrize("env_id,split", sorted(GOLDEN_SPLIT_SHA256))
+def test_generated_split_bytes_are_pinned(env_id, split, tmp_path):
+    env = get_env(env_id)
+    path = tmp_path / "split.jsonl"
+    write_trajectories(env, generate_split(env, split, 30, 0), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SPLIT_SHA256[env_id, split]
 
 
 @pytest.mark.parametrize("env_id", ENV_IDS)

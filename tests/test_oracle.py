@@ -5,6 +5,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_breadth_first_plan
+from saycanpay import oracle as oracle_module
 from saycanpay.core import History, UnsolvableError
 from saycanpay.envs import ENV_IDS, SPLITS, breadth_first_plan, get_env, reset
 from saycanpay.envs.hanoi import HanoiState
@@ -129,7 +131,8 @@ _WALK = st.lists(st.integers(0, 1000), max_size=6)
 )
 def test_plan_from_matches_a_fresh_search(data, env_id, seed, max_steps):
     """Memoized plans, including the suffixes stored for states never
-    searched from, equal a fresh BFS from the same state."""
+    searched from and the None stored for the states of a dead region, equal
+    a fresh search from the same state."""
     env = get_env(env_id)
     spec = reset(env_id, seed, "train")
     if max_steps is not None:
@@ -142,8 +145,11 @@ def test_plan_from_matches_a_fresh_search(data, env_id, seed, max_steps):
             break
         state = pending.pop(data.draw(st.integers(0, len(pending) - 1)))
         plan = oracle.plan_from(state)
-        fresh = breadth_first_plan(env, spec, start_state=state)
+        fresh = reference_breadth_first_plan(env, spec, start_state=state)
         assert plan == (None if fresh is None else tuple(fresh))
+        if plan is None:  # a successor is memoized as dead after an exhaustive search
+            choice = data.draw(st.integers(0, 1000))
+            pending.append(_random_walk(env, replace(spec, init_state=state), [choice]))
         for action in (plan or ())[:-1]:
             state = env.step(state, spec.goal, action)
             pending.append(state)
@@ -165,6 +171,87 @@ def test_bfs_plan_length_matches_exhaustive_search_from_reachable_states(
     plan = breadth_first_plan(env, spec, start_state=state)
     expected = exhaustive_shortest(env, spec, limit=spec.max_steps - 1, start=state)
     assert (None if plan is None else len(plan)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    env_id=st.sampled_from(ENV_IDS),
+    seed=st.integers(0, 10_000),
+    split=st.sampled_from(SPLITS),
+    walk=_WALK,
+    max_steps=st.one_of(st.none(), st.integers(1, 5)),
+)
+def test_bfs_matches_the_per_action_reference(env_id, seed, split, walk, max_steps):
+    """The batched-`applicable` BFS finds the same plan (or None) as the
+    loop that asks `precondition_holds` once per move."""
+    env = get_env(env_id)
+    spec = reset(env_id, seed, split)
+    if max_steps is not None:
+        spec = replace(spec, max_steps=max_steps)
+    state = _random_walk(env, spec, walk)
+    assert breadth_first_plan(env, spec, start_state=state) == (
+        reference_breadth_first_plan(env, spec, start_state=state)
+    )
+
+
+def _dead_blocks_state():
+    """A blocks episode, and the state after putting a goal block in a bowl
+    of another colour: no plan exists from it (blocks never move again)."""
+    env = get_env("blocks")
+    for seed in range(100):
+        spec = reset("blocks", seed, "train")
+        _, block_color, bowl_color = spec.goal.predicate
+        wrong = next(
+            (a for a in env.admissible_actions(spec)
+             if not a.is_done and a.op[1].startswith(f"{block_color} block")
+             and not a.op[2].startswith(f"{bowl_color} bowl")),
+            None,
+        )
+        if wrong is not None and len(spec.init_state.blocks) > 1:
+            return env, spec, env.step(spec.init_state, spec.goal, wrong)
+    pytest.fail("no episode with a bowl outside the goal colour found")
+
+
+def _count_searches(monkeypatch):
+    calls = []
+
+    def counting(env, spec, start_state=None):
+        calls.append(start_state)
+        return breadth_first_plan(env, spec, start_state)
+
+    monkeypatch.setattr(oracle_module, "breadth_first_plan", counting)
+    return calls
+
+
+def _successors(env, spec, state):
+    moves = [a for a in env.admissible_actions(spec) if not a.is_done]
+    return [env.step(state, spec.goal, a) for a in env.applicable(state, spec.goal, moves)]
+
+
+def test_an_exhaustive_failed_search_memoizes_its_dead_region(monkeypatch):
+    env, spec, dead = _dead_blocks_state()
+    oracle = ReplayCache(env, spec)
+    calls = _count_searches(monkeypatch)
+    assert oracle.plan_from(dead) is None
+    assert len(calls) == 1
+    successors = _successors(env, spec, dead)
+    assert successors
+    for state in successors + _successors(env, spec, successors[0]):
+        assert oracle.plan_from(state) is None
+    assert len(calls) == 1
+
+
+def test_a_capped_failed_search_memoizes_its_start_only(monkeypatch):
+    env, spec, dead = _dead_blocks_state()
+    capped = replace(spec, max_steps=2)  # one move: the successors are not expanded
+    oracle = ReplayCache(env, capped)
+    calls = _count_searches(monkeypatch)
+    assert oracle.plan_from(dead) is None
+    assert oracle.plan_from(dead) is None
+    assert len(calls) == 1
+    successor = _successors(env, capped, dead)[0]
+    assert oracle.plan_from(successor) is None
+    assert calls == [dead, successor]
 
 
 class TestReplayCache:
