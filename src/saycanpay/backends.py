@@ -97,7 +97,7 @@ class ExternalSay:
 
     def propose(self, history: History, m: int) -> list[tuple[ActionInstance, float]]:
         responses = external_say(self.endpoint, history, self.goal, m)
-        return [(self._map(text, self.vocab), prob) for text, prob, _ in responses]
+        return [(self._map(text, self.vocab), prob) for text, prob in responses]
 
 
 class TrainedCan:

@@ -114,8 +114,13 @@ def _resolve(args: argparse.Namespace) -> dict:
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             file_conf = json.load(fh)
+        if not isinstance(file_conf, dict):
+            raise ContractError(f"config {config_path} is not a JSON object")
         for key, value in file_conf.items():
-            resolved[key.replace("-", "_")] = value
+            name = key.replace("-", "_")
+            if name not in DEFAULTS:
+                raise ContractError(f"config {config_path}: unknown key {key!r}")
+            resolved[name] = value
     for key, value in vars(args).items():
         if key not in ("command", "config", "ablation") and value is not None:
             resolved[key] = value

@@ -7,7 +7,6 @@ across any number of worker processes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 CLAMP_EPS = 1e-9
@@ -153,18 +152,3 @@ def length_normalize(f_acc: float, plan_length: int) -> float:
     if plan_length < 1:
         raise ContractError("plan_length must be >= 1")
     return f_acc / plan_length
-
-
-def action_log_prob(token_probs: list[float]) -> float:
-    """Log-probability of an action from its per-token probabilities."""
-    if not token_probs:
-        raise ContractError("token_probs must be non-empty")
-    total = 0.0
-    for p in token_probs:
-        if not (0.0 <= p <= 1.0):
-            raise ContractError(f"token probability {p!r} outside [0, 1]")
-        if p == 0.0:
-            warnings.warn("zero token probability clamped", RuntimeWarning)
-            p = CLAMP_EPS
-        total += math.log(p)
-    return total

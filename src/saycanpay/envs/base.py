@@ -6,7 +6,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 
-from ..core import ActionInstance, ContractError, GoalSpec
+from ..core import ActionInstance, ContractError, GoalSpec, InfeasibleActionError
 
 DEFAULT_MAX_STEPS = 20
 SPLITS = ("train", "test", "test-generalize")
@@ -47,6 +47,13 @@ class Environment(ABC):
     def __init__(self):
         self._vocab_cache: dict = {}
 
+    def __init_subclass__(cls, **kwargs):
+        # perfbench's tracer wraps step and precondition_holds in each env
+        # class's own __dict__, so each subclass holds its own binding.
+        super().__init_subclass__(**kwargs)
+        for name in ("step", "precondition_holds"):
+            setattr(cls, name, getattr(cls, name))
+
     @abstractmethod
     def sample_episode(self, seed: int, split: str) -> EpisodeSpec: ...
 
@@ -54,9 +61,32 @@ class Environment(ABC):
     def _vocabulary(self, spec: EpisodeSpec) -> list[ActionInstance]: ...
 
     @abstractmethod
+    def _move_violation(
+        self, state: SymbolicState, action: ActionInstance
+    ) -> str | None:
+        """The condition a non-done `action` violates in `state`, or None when
+        it applies; an action foreign to this env raises ContractError."""
+
+    @abstractmethod
+    def _apply(self, state: SymbolicState, action: ActionInstance) -> SymbolicState:
+        """The successor of `state` under a feasible non-done `action`."""
+
+    @abstractmethod
+    def is_goal(self, state: SymbolicState, goal: GoalSpec) -> bool: ...
+
+    def violation(
+        self, state: SymbolicState, goal: GoalSpec, action: ActionInstance
+    ) -> str | None:
+        """The precondition `action` violates in `state`, or None when it
+        holds: done needs the goal, a move the env's own rule."""
+        if action.is_done:
+            return None if self.is_goal(state, goal) else "goal not reached"
+        return self._move_violation(state, action)
+
     def precondition_holds(
         self, state: SymbolicState, goal: GoalSpec, action: ActionInstance
-    ) -> bool: ...
+    ) -> bool:
+        return self.violation(state, goal, action) is None
 
     def applicable(
         self, state: SymbolicState, goal: GoalSpec, actions: list[ActionInstance]
@@ -65,19 +95,18 @@ class Environment(ABC):
         a foreign action raises ContractError, as in precondition_holds."""
         return [a for a in actions if self.precondition_holds(state, goal, a)]
 
-    @abstractmethod
     def step(
         self, state: SymbolicState, goal: GoalSpec, action: ActionInstance
-    ) -> SymbolicState: ...
-
-    @abstractmethod
-    def is_goal(self, state: SymbolicState, goal: GoalSpec) -> bool: ...
+    ) -> SymbolicState:
+        """The successor of `state`; an infeasible action raises
+        InfeasibleActionError carrying its violation."""
+        violated = self.violation(state, goal, action)
+        if violated is not None:
+            raise InfeasibleActionError(action.text, violated)
+        return state if action.is_done else self._apply(state, action)
 
     @abstractmethod
     def render_observation(self, state: SymbolicState) -> str: ...
-
-    @abstractmethod
-    def parse_observation(self, text: str) -> SymbolicState: ...
 
     @abstractmethod
     def state_to_json(self, state: SymbolicState) -> dict: ...

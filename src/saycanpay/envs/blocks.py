@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from ..core import ActionInstance, ContractError, GoalSpec, InfeasibleActionError
+from ..core import ActionInstance, ContractError, GoalSpec
 from .base import DEFAULT_MAX_STEPS, Environment, EpisodeSpec, SymbolicState
 
 COLORS = ("yellow", "gray", "blue", "red", "green", "orange")
@@ -19,16 +18,17 @@ DONE_TEXT = "done placing blocks"
 class _Entities(NamedTuple):
     blocks: tuple[str, ...]
     bowls: tuple[str, ...]
-    block_set: frozenset[str]
-    bowl_set: frozenset[str]
+    puts: frozenset[tuple[str, str, str]]
 
 
 @lru_cache(maxsize=4096)
 def _entities(listing: tuple[str, ...]) -> _Entities:
-    """The blocks and bowls of a listing, shared by every state of an episode."""
+    """The blocks and bowls of a listing and the put ops that name them,
+    shared by every state of an episode."""
     blocks = tuple(e for e in listing if " block " in f" {e} ")
     bowls = tuple(e for e in listing if " bowl " in f" {e} ")
-    return _Entities(blocks, bowls, frozenset(blocks), frozenset(bowls))
+    puts = frozenset(("put", block, bowl) for block in blocks for bowl in bowls)
+    return _Entities(blocks, bowls, puts)
 
 
 @lru_cache(maxsize=4096)
@@ -49,12 +49,20 @@ class BlocksState(SymbolicState):
     env_id = "blocks"
 
     @property
+    def entities(self) -> _Entities:
+        """The listing's entity tables, looked up on first use."""
+        entities = self.__dict__.get("_entities")
+        if entities is None:
+            entities = self.__dict__["_entities"] = _entities(self.listing)
+        return entities
+
+    @property
     def blocks(self) -> tuple[str, ...]:
-        return _entities(self.listing).blocks
+        return self.entities.blocks
 
     @property
     def bowls(self) -> tuple[str, ...]:
-        return _entities(self.listing).bowls
+        return self.entities.bowls
 
     @property
     def placed(self) -> dict[str, str]:
@@ -135,44 +143,31 @@ class BlocksEnv(Environment):
         actions.append(ActionInstance.from_text(DONE_TEXT, op=("done",), is_done=True))
         return actions
 
-    def _put_check(self, state: BlocksState, action: ActionInstance) -> str | None:
+    def _move_violation(self, state: BlocksState, action: ActionInstance) -> str | None:
+        if action.op not in state.entities.puts:
+            raise ContractError(f"foreign action {action.text!r}")
         block = action.op[1]
         if block in state.placed:
             return f"{block} is already in a bowl"
         return None
 
     def applicable(self, state, goal, actions) -> list[ActionInstance]:
-        """A put is applicable iff its block is not in a bowl yet; done iff
-        the goal holds. A put naming another listing's entities is foreign."""
-        entities = _entities(state.listing)
+        """The base filter with the put rule inlined, so the state's entity
+        tables and placements are read once per call, not once per action."""
+        puts = state.entities.puts
         placed = state.placed
         out = []
         for action in actions:
-            op = action.op
             if action.is_done:
-                if self.is_goal(state, goal):
+                if self.violation(state, goal, action) is None:
                     out.append(action)
-            elif (
-                op[0] != "put"
-                or op[1] not in entities.block_set
-                or op[2] not in entities.bowl_set
-            ):
+            elif action.op not in puts:
                 raise ContractError(f"foreign action {action.text!r}")
-            elif op[1] not in placed:
+            elif action.op[1] not in placed:
                 out.append(action)
         return out
 
-    def precondition_holds(self, state, goal, action) -> bool:
-        return bool(self.applicable(state, goal, [action]))
-
-    def step(self, state, goal, action) -> BlocksState:
-        if action.is_done:
-            if not self.is_goal(state, goal):
-                raise InfeasibleActionError(action.text, "goal not reached")
-            return state
-        violated = self._put_check(state, action)
-        if violated is not None:
-            raise InfeasibleActionError(action.text, violated)
+    def _apply(self, state: BlocksState, action: ActionInstance) -> BlocksState:
         placements = tuple(
             sorted(state.placements + ((action.op[1], action.op[2]),))
         )
@@ -193,16 +188,6 @@ class BlocksEnv(Environment):
         for block, bowl in state.placements:
             sentences.append(f"the {block} is in the {bowl}.")
         return " ".join(sentences)
-
-    def parse_observation(self, text: str) -> BlocksState:
-        m = re.match(r"there is a ([^.]+)\.", text.strip())
-        if m is None:
-            raise ContractError("missing entity listing")
-        listing = tuple(part.strip() for part in m.group(1).split(","))
-        placements = tuple(
-            sorted(re.findall(r"the ([\w ]+?) is in the ([\w ]+?)\.", text))
-        )
-        return BlocksState(listing=listing, placements=placements)
 
     def state_to_json(self, state: BlocksState) -> dict:
         return {

@@ -8,10 +8,9 @@ are toggled open with a matching-color key, and the agent's single hand forces
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 
-from ..core import ActionInstance, ContractError, GoalSpec, InfeasibleActionError
+from ..core import ActionInstance, ContractError, GoalSpec
 from .base import (
     DEFAULT_MAX_STEPS,
     Environment,
@@ -143,7 +142,7 @@ class GridworldEnv(Environment):
         actions.append(ActionInstance.from_text(DONE_TEXT, op=("done",), is_done=True))
         return actions
 
-    def _check(self, state: GridState, action: ActionInstance) -> str | None:
+    def _move_violation(self, state: GridState, action: ActionInstance) -> str | None:
         op = action.op[0]
         if op == "pickup":
             color, kind = action.op[1], action.op[2]
@@ -172,19 +171,7 @@ class GridworldEnv(Environment):
             return None
         raise ContractError(f"foreign action {action.text!r}")
 
-    def precondition_holds(self, state, goal, action) -> bool:
-        if action.is_done:
-            return self.is_goal(state, goal)
-        return self._check(state, action) is None
-
-    def step(self, state, goal, action) -> GridState:
-        if action.is_done:
-            if not self.is_goal(state, goal):
-                raise InfeasibleActionError(action.text, "goal not reached")
-            return state
-        violated = self._check(state, action)
-        if violated is not None:
-            raise InfeasibleActionError(action.text, violated)
+    def _apply(self, state: GridState, action: ActionInstance) -> GridState:
         op = action.op[0]
         if op == "pickup":
             color, kind = action.op[1], action.op[2]
@@ -250,48 +237,6 @@ class GridworldEnv(Environment):
         if carried is not None:
             sentences.append(f"the agent carries the {carried[0]} {carried[1]}.")
         return " ".join(sentences)
-
-    def parse_observation(self, text: str) -> GridState:
-        objects: list[tuple[str, str, int]] = []
-        doors: list[tuple[str, bool]] = []
-        agent_room = None
-        n_rooms = 0
-        for sentence in re.split(r"\.\s*", text.strip()):
-            if not sentence:
-                continue
-            m = re.fullmatch(r"room (\d+) has (.+)", sentence)
-            if m:
-                room = int(m.group(1)) - 1
-                n_rooms = max(n_rooms, room + 1)
-                if m.group(2) == "nothing":
-                    continue
-                for item in m.group(2).split(", "):
-                    if item == "agent":
-                        agent_room = room
-                    else:
-                        color, kind = item.split(" ", 1)
-                        objects.append((color, kind, room))
-                continue
-            m = re.fullmatch(
-                r"the (\w+) door connecting room (\d+) and room (\d+) is (locked|open)",
-                sentence,
-            )
-            if m:
-                doors.append((m.group(1), m.group(4) == "locked"))
-                continue
-            m = re.fullmatch(r"the agent carries the (\w+) (\w+)", sentence)
-            if m:
-                objects.append((m.group(1), m.group(2), CARRIED))
-                continue
-            raise ContractError(f"unparseable sentence {sentence!r}")
-        if agent_room is None:
-            raise ContractError("observation does not place the agent")
-        return GridState(
-            n_rooms=n_rooms,
-            doors=tuple(doors),
-            objects=tuple(sorted(objects)),
-            agent_room=agent_room,
-        )
 
     def state_to_json(self, state: GridState) -> dict:
         return {

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 
-from ..core import ActionInstance, ContractError, GoalSpec, InfeasibleActionError
+from ..core import ActionInstance, ContractError, GoalSpec
 from .base import DEFAULT_MAX_STEPS, Environment, EpisodeSpec, SymbolicState
 
 DISK_COLORS = ("blue", "gray", "green", "red")  # smallest first
 N_RODS = 3
+ROD_NAMES = tuple(str(r + 1) for r in range(N_RODS))
 DONE_TEXT = "done moving disks"
 
 
@@ -22,6 +22,10 @@ class HanoiState(SymbolicState):
     rods: tuple[tuple[int, ...], ...]
 
     env_id = "hanoi"
+
+
+def _rod_of(state: HanoiState, disk: int) -> int:
+    return next(r for r in range(N_RODS) if disk in state.rods[r])
 
 
 class HanoiEnv(Environment):
@@ -69,11 +73,18 @@ class HanoiEnv(Environment):
         actions.append(ActionInstance.from_text(DONE_TEXT, op=("done",), is_done=True))
         return actions
 
-    def _move_check(self, state: HanoiState, action: ActionInstance) -> str | None:
-        color, rod_name = action.op[1], action.op[2]
+    def _move_violation(self, state: HanoiState, action: ActionInstance) -> str | None:
+        op = action.op
+        if (
+            op[0] != "move"
+            or op[1] not in DISK_COLORS[: state.n_disks]
+            or op[2] not in ROD_NAMES
+        ):
+            raise ContractError(f"foreign action {action.text!r}")
+        color, rod_name = op[1], op[2]
         disk = DISK_COLORS.index(color)
         target = int(rod_name) - 1
-        source = next(r for r in range(N_RODS) if disk in state.rods[r])
+        source = _rod_of(state, disk)
         if state.rods[source][-1] != disk:
             return f"{color} disk is not the topmost disk on rod {source + 1}"
         if source == target:
@@ -83,24 +94,10 @@ class HanoiEnv(Environment):
             return f"top disk of rod {rod_name} is smaller than the {color} disk"
         return None
 
-    def precondition_holds(self, state, goal, action) -> bool:
-        if action.is_done:
-            return self.is_goal(state, goal)
-        if action.op[0] != "move" or action.op[1] not in DISK_COLORS[: state.n_disks]:
-            raise ContractError(f"foreign action {action.text!r}")
-        return self._move_check(state, action) is None
-
-    def step(self, state, goal, action) -> HanoiState:
-        if action.is_done:
-            if not self.is_goal(state, goal):
-                raise InfeasibleActionError(action.text, "goal not reached")
-            return state
-        violated = self._move_check(state, action)
-        if violated is not None:
-            raise InfeasibleActionError(action.text, violated)
+    def _apply(self, state: HanoiState, action: ActionInstance) -> HanoiState:
         disk = DISK_COLORS.index(action.op[1])
         target = int(action.op[2]) - 1
-        source = next(r for r in range(N_RODS) if disk in state.rods[r])
+        source = _rod_of(state, disk)
         rods = list(state.rods)
         rods[source] = rods[source][:-1]
         rods[target] = rods[target] + (disk,)
@@ -122,37 +119,6 @@ class HanoiEnv(Environment):
         rod_list = ", ".join(f"rod {r + 1}" for r in range(N_RODS))
         sentences.append(f"the disks can be moved in {rod_list}.")
         return " ".join(sentences)
-
-    def parse_observation(self, text: str) -> HanoiState:
-        above: dict[int, int] = {}
-        bottom_of_rod: dict[int, int] = {}
-        seen = set()
-        for sentence in re.split(r"\.\s*", text.strip()):
-            if not sentence or sentence.startswith("the disks can be moved"):
-                continue
-            m = re.fullmatch(r"(\w+) disk on top of (\w+) disk", sentence)
-            if m:
-                upper = DISK_COLORS.index(m.group(1))
-                lower = DISK_COLORS.index(m.group(2))
-                above[lower] = upper
-                seen.update((upper, lower))
-                continue
-            m = re.fullmatch(r"(\w+) disk in rod (\d)", sentence)
-            if m:
-                disk = DISK_COLORS.index(m.group(1))
-                bottom_of_rod[int(m.group(2)) - 1] = disk
-                seen.add(disk)
-                continue
-            raise ContractError(f"unparseable sentence {sentence!r}")
-        rods = []
-        for r in range(N_RODS):
-            stack = []
-            disk = bottom_of_rod.get(r)
-            while disk is not None:
-                stack.append(disk)
-                disk = above.get(disk)
-            rods.append(tuple(stack))
-        return HanoiState(n_disks=len(seen), rods=tuple(rods))
 
     def state_to_json(self, state: HanoiState) -> dict:
         return {"n_disks": state.n_disks, "rods": [list(r) for r in state.rods]}

@@ -450,8 +450,8 @@ def train(model_kind: str, dataset, config: TrainConfig, env_id: str, env=None):
 
 def external_say(
     endpoint: str, history: History, goal: GoalSpec, m: int, timeout: float = 10.0
-) -> list[tuple[str, float, list[float]]]:
-    """Query a proposer over newline-delimited JSON; returns (text, prob, token_probs)."""
+) -> list[tuple[str, float]]:
+    """Query a proposer over newline-delimited JSON; returns (text, prob) pairs."""
     host, _, port = endpoint.rpartition(":")
     request = {
         "goal": goal.text,
@@ -479,9 +479,7 @@ def external_say(
             logprobs = [cand["logprob"], *cand["token_logprobs"]]
             if not all(math.isfinite(lp) for lp in logprobs):
                 raise ValueError(f"non-finite log-probability in {cand!r}")
-            prob = math.exp(cand["logprob"])
-            token_probs = [math.exp(lp) for lp in cand["token_logprobs"]]
-            out.append((cand["text"], prob, token_probs))
+            out.append((cand["text"], math.exp(cand["logprob"])))
         return out
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise AdapterError(f"adapter at {endpoint!r} failed: {exc}") from exc

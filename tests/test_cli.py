@@ -90,6 +90,22 @@ class TestConfigPrecedence:
         assert overridden.returncode == 0, overridden.stderr
         assert "hanoi train: 3 trajectories" in overridden.stdout
 
+    @pytest.mark.parametrize(
+        "content, named",
+        [([7, 2, 1], "not a JSON object"), ({"epoch": 1}, "unknown key 'epoch'")],
+        ids=["not-an-object", "unknown-key"],
+    )
+    def test_bad_config_file_returns_one(self, tmp_path, content, named):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps(content))
+        proc = run_cli(
+            "gen-data", "--env", "hanoi", "--data", str(tmp_path / "d"),
+            "--train", "2", "--test", "1", "--gen", "1", "--config", str(config),
+        )
+        assert proc.returncode == 1
+        assert named in proc.stderr
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrainPlanEval:
     def test_train_writes_model_files(self, tiny_data_dir, tmp_path):

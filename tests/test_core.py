@@ -11,7 +11,6 @@ from saycanpay.core import (
     GoalSpec,
     History,
     accumulate,
-    action_log_prob,
     clamp,
     decode_score,
     length_normalize,
@@ -85,33 +84,6 @@ class TestLengthNormalize:
     def test_zero_length_rejected(self):
         with pytest.raises(ContractError):
             length_normalize(-1.0, 0)
-
-
-class TestActionLogProb:
-    def test_all_ones(self):
-        assert action_log_prob([1.0, 1.0]) == 0.0
-
-    def test_quarter(self):
-        assert action_log_prob([0.5, 0.5]) == pytest.approx(math.log(0.25))
-
-    def test_three_tokens(self):
-        assert action_log_prob([0.9, 0.8, 0.5]) == pytest.approx(math.log(0.36))
-
-    def test_zero_probability_clamped_with_warning(self):
-        with pytest.warns(RuntimeWarning):
-            value = action_log_prob([0.5, 0.0])
-        assert value == pytest.approx(math.log(0.5) + math.log(CLAMP_EPS))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            action_log_prob([])
-
-    def test_exp_matches_product(self):
-        probs = [0.9, 0.31, 0.77, 0.05, 1.0, 0.64]
-        product = 1.0
-        for p in probs:
-            product *= p
-        assert math.exp(action_log_prob(probs)) == pytest.approx(product, rel=1e-12)
 
 
 class TestClamp:

@@ -1,9 +1,11 @@
 """Environment determinism, vocabularies, transitions, and text rendering."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from saycanpay.core import ContractError, InfeasibleActionError
+from saycanpay.core import ActionInstance, ContractError, InfeasibleActionError
 from saycanpay.envs import ENV_IDS, SPLITS, breadth_first_plan, get_env, reset
 from saycanpay.envs.gridworld import CARRIED
 from saycanpay.envs.hanoi import DISK_COLORS, HanoiState
@@ -28,11 +30,15 @@ class TestCommonContract:
         assert sum(a.is_done for a in vocab) == 1
 
     def test_observation_roundtrip(self, env_id):
+        """A dataset row stores the state as JSON; the state reloaded from that
+        text renders the episode's observation again."""
         env = get_env(env_id)
         for seed in range(10):
             spec = reset(env_id, seed, "train")
-            parsed = env.parse_observation(spec.init_obs)
-            assert env.render_observation(parsed) == spec.init_obs
+            stored = json.dumps(env.state_to_json(spec.init_state))
+            reloaded = env.state_from_json(json.loads(stored))
+            assert reloaded == spec.init_state
+            assert env.render_observation(reloaded) == spec.init_obs
 
     def test_state_json_roundtrip(self, env_id):
         env = get_env(env_id)
@@ -333,21 +339,33 @@ def _check_transition(env_id, before, action, after):
 
 
 def _random_walk(env_id, seed, split, choices):
-    """Yield (state, action, next state or None) along a walk that picks any
-    vocabulary action, feasible or not; infeasible ones are not applied."""
+    """Yield (spec, state, action, next state or None) along a walk that picks any
+    vocabulary action, feasible or not; infeasible ones are not applied.
+
+    On the way it checks the one feasibility rule: `violation` is None iff
+    `precondition_holds` iff `step` does not raise, a raised step carries the
+    violation, and done is feasible exactly at goal states."""
     env = get_env(env_id)
     spec = reset(env_id, seed, split)
     vocab = env.admissible_actions(spec)
+    done = next(a for a in vocab if a.is_done)
     state = spec.init_state
     for choice in choices:
+        assert env.violation(state, spec.goal, done) == (
+            None if env.is_goal(state, spec.goal) else "goal not reached"
+        )
         action = vocab[choice % len(vocab)]
-        if env.precondition_holds(state, spec.goal, action):
+        violated = env.violation(state, spec.goal, action)
+        assert env.precondition_holds(state, spec.goal, action) == (violated is None)
+        if violated is None:
             nxt = env.step(state, spec.goal, action)
             yield spec, state, action, nxt
             state = nxt
         else:
-            with pytest.raises(InfeasibleActionError):
+            with pytest.raises(InfeasibleActionError) as raised:
                 env.step(state, spec.goal, action)
+            assert raised.value.condition == violated
+            assert raised.value.action_text == action.text
             yield spec, state, action, None
 
 
@@ -362,13 +380,36 @@ _walks = dict(
 @settings(max_examples=60, deadline=None)
 @given(**_walks)
 def test_render_parse_render_roundtrip_on_reachable_states(env_id, seed, split, choices):
+    """Every reachable state survives the trip through its stored JSON text
+    and renders the same observation after it."""
     env = get_env(env_id)
     for _, state, _, nxt in _random_walk(env_id, seed, split, choices):
         for s in (state, nxt) if nxt is not None else (state,):
             text = env.render_observation(s)
-            parsed = env.parse_observation(text)
+            parsed = env.state_from_json(json.loads(json.dumps(env.state_to_json(s))))
             assert parsed == s
             assert env.render_observation(parsed) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_walks)
+def test_render_observation_is_injective_on_reachable_states(
+    env_id, seed, split, choices
+):
+    """Distinct reachable states render distinct text, so the observation the
+    scorers condition on identifies the state. Compared: the walk's states
+    and every one-step successor of each."""
+    env = get_env(env_id)
+    spec = reset(env_id, seed, split)
+    walked = [spec.init_state] + [
+        nxt for *_, nxt in _random_walk(env_id, seed, split, choices) if nxt is not None
+    ]
+    states = set()
+    for state in walked:
+        states.add(state)
+        for action in env.applicable(state, spec.goal, env.admissible_actions(spec)):
+            states.add(env.step(state, spec.goal, action))
+    assert len({env.render_observation(s) for s in states}) == len(states)
 
 
 @settings(max_examples=60, deadline=None)
@@ -434,6 +475,8 @@ def test_foreign_actions_raise_from_applicable_and_precondition_holds(
         holds = env.precondition_holds(state, spec.goal, action)
     except ContractError:
         with pytest.raises(ContractError):
+            env.step(state, spec.goal, action)
+        with pytest.raises(ContractError):
             env.applicable(state, spec.goal, [action])
         with pytest.raises(ContractError):
             env.applicable(state, spec.goal, env.admissible_actions(spec) + [action])
@@ -447,19 +490,29 @@ def test_foreign_actions_raise_from_applicable_and_precondition_holds(
         ("blocks", 0, "train", ("blocks", 0, "test-generalize")),
         ("hanoi", 0, "train", ("hanoi", 0, "test-generalize")),
         ("gridworld", 0, "train", ("blocks", 0, "train")),
+        ("hanoi", 0, "train", ActionInstance.from_text(
+            "move the blue disk in rod 4", op=("move", "blue", "4"))),
     ],
 )
 def test_a_foreign_action_raises_contract_error(env_id, seed, split, other):
+    """Foreign actions (another episode's moves, or a rod the env lacks) raise
+    ContractError from every entry point: precondition_holds, step and
+    applicable."""
     env = get_env(env_id)
     spec = reset(env_id, seed, split)
-    own = {a.text for a in env.admissible_actions(spec)}
-    foreign = [
-        a for a in get_env(other[0]).admissible_actions(reset(*other))
-        if not a.is_done and a.text not in own
-    ]
+    if isinstance(other, ActionInstance):
+        foreign = [other]
+    else:
+        own = {a.text for a in env.admissible_actions(spec)}
+        foreign = [
+            a for a in get_env(other[0]).admissible_actions(reset(*other))
+            if not a.is_done and a.text not in own
+        ]
     assert foreign
     for action in foreign:
         with pytest.raises(ContractError):
             env.precondition_holds(spec.init_state, spec.goal, action)
+        with pytest.raises(ContractError):
+            env.step(spec.init_state, spec.goal, action)
         with pytest.raises(ContractError):
             env.applicable(spec.init_state, spec.goal, [action])

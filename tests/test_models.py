@@ -480,9 +480,8 @@ class TestExternalSay:
             "history": [],
             "m": 2,
         }
-        assert out[0][0] == "pick up red ball"
-        assert out[0][1] == pytest.approx(0.6)
-        assert out[0][2] == pytest.approx([0.9] * 4)
+        assert [text for text, _ in out] == ["pick up red ball", "done picking up"]
+        assert [prob for _, prob in out] == pytest.approx([0.6, 0.2])
 
     def test_unreachable_endpoint_raises_adapter_error(self):
         goal = GoalSpec(text="g", predicate=("p",))
