@@ -112,8 +112,11 @@ def _resolve(args: argparse.Namespace) -> dict:
     resolved = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            file_conf = json.load(fh)
+        try:
+            with open(config_path, encoding="utf-8") as fh:
+                file_conf = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ContractError(f"config {config_path} is not JSON: {exc}") from exc
         if not isinstance(file_conf, dict):
             raise ContractError(f"config {config_path} is not a JSON object")
         for key, value in file_conf.items():

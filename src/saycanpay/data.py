@@ -174,20 +174,16 @@ def make_can_samples(trajectories: list[Trajectory], seed: int) -> list[CanSampl
                 a for s, a in enumerate(traj.actions)
                 if s != t and a.text != positive.text
             ]
-            if not others:
-                history = history.extended(positive)
-                continue
-            neg_same = rng.choice(others)
-            neg_cross = _cross_negative(rng, trajectories, i, positive)
-            samples.append(
-                CanSample(
-                    history=history,
-                    goal=traj.episode.goal,
-                    positive=positive,
-                    neg_same=neg_same,
-                    neg_cross=neg_cross,
+            if others:
+                samples.append(
+                    CanSample(
+                        history=history,
+                        goal=traj.episode.goal,
+                        positive=positive,
+                        neg_same=rng.choice(others),
+                        neg_cross=_cross_negative(rng, trajectories, i, positive),
+                    )
                 )
-            )
             history = history.extended(positive)
     return samples
 

@@ -69,28 +69,31 @@ def map_to_admissible(text: str, vocab: list[ActionInstance]) -> ActionInstance:
 def expand_candidates(
     say, can, pay, history: History, config: DecodingConfig
 ) -> list[ScoredCandidate]:
-    """Propose, merge duplicates (max p_say), and score the m candidates."""
+    """Propose, merge duplicates (max p_say), and score the m candidates:
+    Can and Pay each score the sorted list once, when the score mode uses them."""
     merged: dict[str, tuple[ActionInstance, float]] = {}
     for action, p_say in say.propose(history, config.m):
         p_say = min(max(p_say, 0.0), 1.0)
         kept = merged.get(action.text)
         if kept is None or p_say > kept[1]:
             merged[action.text] = (action, p_say)
-    candidates = []
-    for text in sorted(merged):
-        action, p_say = merged[text]
-        p_can = can(history, action) if config.score_mode != "say" else 1.0
-        f_pay = pay(history, action) if config.score_mode == "saycanpay" else 1.0
-        candidates.append(
-            ScoredCandidate(
-                action=action,
-                p_say=p_say,
-                p_can=p_can,
-                f_pay=f_pay,
-                step_log_score=decode_score(p_say, p_can, f_pay, config.score_mode),
-            )
+    if not merged:
+        return []
+    listed = [merged[text] for text in sorted(merged)]
+    actions = [action for action, _ in listed]
+    ones = [1.0] * len(actions)
+    p_cans = can(history, actions) if config.score_mode != "say" else ones
+    f_pays = pay(history, actions) if config.score_mode == "saycanpay" else ones
+    return [
+        ScoredCandidate(
+            action=action,
+            p_say=p_say,
+            p_can=p_can,
+            f_pay=f_pay,
+            step_log_score=decode_score(p_say, p_can, f_pay, config.score_mode),
         )
-    return candidates
+        for (action, p_say), p_can, f_pay in zip(listed, p_cans, f_pays, strict=True)
+    ]
 
 
 def _plan_result(
@@ -222,10 +225,8 @@ def run_strategy(
     pay=None,
     vocab: list[ActionInstance] | None = None,
 ) -> PlanResult:
-    """Dispatch on config.strategy."""
-    noop = lambda history, action: 1.0  # noqa: E731
-    can = can or noop
-    pay = pay or noop
+    """Dispatch on config.strategy; `can` and `pay` may be None where the
+    strategy or score mode never calls them."""
     if config.strategy == "greedy-token":
         if vocab is None:
             raise ContractError("greedy-token needs the episode vocabulary")

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .backends import BackendChoice, episode_backends
-from .core import ContractError, ModelFileError
+from .core import ContractError, InfeasibleActionError, ModelFileError
 from .data import read_trajectories, split_path
 from .decoding import DecodingConfig, PlanResult, run_strategy
 from .envs import get_env
@@ -34,7 +34,8 @@ def execute_plan(
     env, spec, plan: PlanResult, optimal_length: int,
     fingerprint: str = "", wall_time: float = 0.0,
 ) -> EpisodeResult:
-    """Replay a plan; the first precondition violation halts execution.
+    """Replay a plan through `env.step`; the first infeasible action halts
+    execution.
 
     A plan reaches the goal only when it runs to completion and ends with the
     done action (whose precondition is the goal test).
@@ -42,10 +43,11 @@ def execute_plan(
     state = spec.init_state
     executed_ok = True
     for action in plan.plan:
-        if not env.precondition_holds(state, spec.goal, action):
+        try:
+            state = env.step(state, spec.goal, action)
+        except InfeasibleActionError:
             executed_ok = False
             break
-        state = env.step(state, spec.goal, action)
     reached = executed_ok and len(plan.plan) > 0 and plan.plan[-1].is_done
     return EpisodeResult(
         episode_id=spec.episode_id,
@@ -57,13 +59,6 @@ def execute_plan(
         optimal_length=optimal_length,
         wall_time=wall_time,
     )
-
-
-def planning_success(results: list[EpisodeResult]) -> int:
-    """# plans out of 100 that reached the goal within the step limit."""
-    if len(results) != 100:
-        raise ContractError(f"expected exactly 100 results, got {len(results)}")
-    return sum(r.reached_goal for r in results)
 
 
 def cost_effectiveness(results: list[EpisodeResult]) -> int:

@@ -127,10 +127,13 @@ class LinearScorer:
         """Raw score of each CSR row `(indptr, indices, values)` of `featurize`."""
         return _row_logits(self.weights, self.bias, rows)
 
-    def score(self, goal: GoalSpec, history: History, action: ActionInstance) -> float:
-        return sigmoid(
-            self.logits(featurize(goal, history, [action], self.profile))[0]
-        )
+    def score(
+        self, goal: GoalSpec, history: History, actions: list[ActionInstance]
+    ) -> list[float]:
+        """Sigmoid score of each candidate; each row keeps its own dot, so a
+        list scores bit-identically to its candidates one at a time."""
+        rows = featurize(goal, history, actions, self.profile)
+        return [sigmoid(z) for z in self.logits(rows)]
 
     def check_env(self, env_id: str) -> None:
         if env_id != self.env:

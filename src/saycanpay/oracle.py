@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ActionInstance, History, UnsolvableError
+from .core import ActionInstance, History, InfeasibleActionError, UnsolvableError
 from .envs import Environment, EpisodeSpec, breadth_first_plan
 from .envs.base import SymbolicState
 
@@ -51,18 +51,14 @@ class ReplayCache:
         state = self._states[()]
         for i, action in enumerate(history.actions):
             prefix = key[: i + 1]
-            if prefix in self._states:
-                state = self._states[prefix]
-                if state is None:
-                    return None
-                continue
-            if state is None or not self.env.precondition_holds(
-                state, self.spec.goal, action
-            ):
-                state = None
-            else:
-                state = self.env.step(state, self.spec.goal, action)
-            self._states[prefix] = state
+            if prefix not in self._states:
+                try:
+                    self._states[prefix] = self.env.step(state, self.spec.goal, action)
+                except InfeasibleActionError:
+                    self._states[prefix] = None
+            state = self._states[prefix]
+            if state is None:
+                return None
         return state
 
     def plan_from(self, state: SymbolicState) -> tuple[ActionInstance, ...] | None:
@@ -122,12 +118,14 @@ class OracleCan:
     def __init__(self, oracle: ReplayCache):
         self.oracle = oracle
 
-    def __call__(self, history: History, action: ActionInstance) -> float:
+    def __call__(self, history: History, actions: list[ActionInstance]) -> list[float]:
         state = self.oracle.state_for(history)
         if state is None:
-            return 0.0
+            return [0.0] * len(actions)
         env, goal = self.oracle.env, self.oracle.spec.goal
-        return 1.0 if env.precondition_holds(state, goal, action) else 0.0
+        return [
+            1.0 if env.precondition_holds(state, goal, a) else 0.0 for a in actions
+        ]
 
 
 class OraclePay:
@@ -137,12 +135,16 @@ class OraclePay:
         self.oracle = oracle
         self.delta = delta
 
-    def __call__(self, history: History, action: ActionInstance) -> float:
+    def __call__(self, history: History, actions: list[ActionInstance]) -> list[float]:
         state = self.oracle.state_for(history)
-        env, goal = self.oracle.env, self.oracle.spec.goal
-        if state is None or not env.precondition_holds(state, goal, action):
+        return [0.0 if state is None else self._payoff(state, a) for a in actions]
+
+    def _payoff(self, state: SymbolicState, action: ActionInstance) -> float:
+        try:
+            nxt = self.oracle.env.step(state, self.oracle.spec.goal, action)
+        except InfeasibleActionError:
             return 0.0
         if action.is_done:
             return 1.0
-        plan = self.oracle.plan_from(env.step(state, goal, action))
+        plan = self.oracle.plan_from(nxt)
         return 0.0 if plan is None else self.delta ** len(plan)

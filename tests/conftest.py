@@ -26,12 +26,31 @@ from saycanpay.data import (
     split_path,
 )
 from saycanpay.decoding import PlanResult, expand_candidates
-from saycanpay.envs import ENV_IDS, get_env
+from saycanpay.envs import ENV_IDS, get_env, reset
 from saycanpay.features import DIM, FEATURE_SCALE, PLAIN_SCALE, bucket, feature_grams
 from saycanpay.models import CAN_CALIBRATION_RAW, AdamW, TrainConfig, sigmoid, train
 from saycanpay.oracle import DELTA
 
 TRAIN_SEEDS = (0, 1, 2)
+
+
+def random_reachable_history(env_id, seed, split, walk):
+    """An episode and a history reached by feasible moves chosen from `walk`."""
+    env = get_env(env_id)
+    spec = reset(env_id, seed, split)
+    vocab = env.admissible_actions(spec)
+    state, history = spec.init_state, History(spec.init_obs)
+    for choice in walk:
+        feasible = [
+            a for a in vocab
+            if not a.is_done and env.precondition_holds(state, spec.goal, a)
+        ]
+        if not feasible:
+            break
+        action = feasible[choice % len(feasible)]
+        state = env.step(state, spec.goal, action)
+        history = history.extended(action)
+    return spec.goal, history, vocab
 
 
 def reference_greedy_action(say, can, pay, episode, config) -> PlanResult:

@@ -27,9 +27,9 @@ from saycanpay.evaluate import (
     ModelStore,
     evaluate_episodes,
     plan_episode,
-    planning_success,
     relative_length,
     run_cells,
+    summarize,
 )
 from saycanpay.features import DIM
 from saycanpay.models import LinearScorer, SayPolicy, infonce_loss, mse_loss, sigmoid
@@ -123,7 +123,7 @@ def test_criterion_01_oracle_stack_solves_hanoi_optimally(full_data_dir):
     started = time.monotonic()
     results = evaluate_episodes("hanoi", trajectories, backends, config)
     elapsed = time.monotonic() - started
-    solved = planning_success(results)
+    solved = summarize(results)["success"]
     optimal = sum(
         r.reached_goal and r.plan_length == r.optimal_length for r in results
     )

@@ -91,13 +91,17 @@ class TestConfigPrecedence:
         assert "hanoi train: 3 trajectories" in overridden.stdout
 
     @pytest.mark.parametrize(
-        "content, named",
-        [([7, 2, 1], "not a JSON object"), ({"epoch": 1}, "unknown key 'epoch'")],
-        ids=["not-an-object", "unknown-key"],
+        "text, named",
+        [
+            ("[7, 2, 1]", "not a JSON object"),
+            ('{"epoch": 1}', "unknown key 'epoch'"),
+            ("{not json", "is not JSON"),
+        ],
+        ids=["not-an-object", "unknown-key", "not-json"],
     )
-    def test_bad_config_file_returns_one(self, tmp_path, content, named):
+    def test_bad_config_file_returns_one(self, tmp_path, text, named):
         config = tmp_path / "conf.json"
-        config.write_text(json.dumps(content))
+        config.write_text(text)
         proc = run_cli(
             "gen-data", "--env", "hanoi", "--data", str(tmp_path / "d"),
             "--train", "2", "--test", "1", "--gen", "1", "--config", str(config),

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import reference_greedy_action
 from saycanpay.backends import UniformSay
-from saycanpay.core import SCORE_MODES, ActionInstance, ContractError
+from saycanpay.core import SCORE_MODES, ActionInstance, ContractError, History
 from saycanpay.decoding import (
     DecodingConfig,
     beam_action,
+    expand_candidates,
     greedy_action,
     map_to_admissible,
     run_strategy,
@@ -94,8 +95,8 @@ class _ScriptedSay:
         return self.table.get(key, [])[:m]
 
 
-def _noop(history, action):
-    return 1.0
+def _noop(history, actions):
+    return [1.0] * len(actions)
 
 
 # Dyadic probabilities multiply exactly, so distinct step scores differ by far
@@ -146,11 +147,12 @@ class TestGreedyBeamEquivalence:
                 return proposals[key]
 
         def table(values):
-            def score(history, action):
-                key = (tuple(a.text for a in history.actions), action.text)
-                if key not in values:
-                    values[key] = data.draw(_PROBS)
-                return values[key]
+            def score(history, actions):
+                past = tuple(a.text for a in history.actions)
+                for action in actions:
+                    if (past, action.text) not in values:
+                        values[past, action.text] = data.draw(_PROBS)
+                return [values[past, a.text] for a in actions]
             return score
 
         say, can, pay = TableSay(), table(p_can), table(f_pay)
@@ -231,8 +233,8 @@ class TestBeamSearch:
             }
         )
 
-        def can(history, action):
-            return 0.0 if action.text == "broken step" else 1.0
+        def can(history, actions):
+            return [0.0 if a.text == "broken step" else 1.0 for a in actions]
 
         spec = reset("hanoi", 0, "train")
         config = DecodingConfig(strategy="greedy-action", score_mode="saycan", m=2,
@@ -244,6 +246,48 @@ class TestBeamSearch:
                                     k=1)
         unguarded = greedy_action(say, can, _noop, spec, config_say)
         assert unguarded.plan[0].text == "broken step"
+
+
+class _CountingScorer:
+    """A Can or Pay role that records every candidate list it scores."""
+
+    def __init__(self, value):
+        self.value = value
+        self.lists = []
+
+    def __call__(self, history, actions):
+        self.lists.append([a.text for a in actions])
+        return [self.value] * len(actions)
+
+
+class TestExpandCandidates:
+    @pytest.mark.parametrize(
+        "score_mode, can_lists, pay_lists",
+        [("say", 0, 0), ("saycan", 1, 0), ("saycanpay", 1, 1)],
+    )
+    def test_can_and_pay_score_the_merged_list_once(
+        self, score_mode, can_lists, pay_lists
+    ):
+        b, a, done = make_vocab("go b", "go a", "done now")
+        say = _ScriptedSay({(): [(b, 0.25), (a, 0.125), (b, 0.5), (done, 0.75)]})
+        can, pay = _CountingScorer(0.5), _CountingScorer(0.25)
+        config = DecodingConfig(score_mode=score_mode, m=4, k=1)
+        candidates = expand_candidates(say, can, pay, History("obs."), config)
+        merged = ["done now", "go a", "go b"]
+        assert [c.action.text for c in candidates] == merged
+        assert [c.p_say for c in candidates] == [0.75, 0.125, 0.5]
+        assert can.lists == [merged] * can_lists
+        assert pay.lists == [merged] * pay_lists
+        assert all(c.p_can == (0.5 if can_lists else 1.0) for c in candidates)
+        assert all(c.f_pay == (0.25 if pay_lists else 1.0) for c in candidates)
+
+    @pytest.mark.parametrize("score_mode", SCORE_MODES)
+    def test_an_empty_proposal_scores_nothing(self, score_mode):
+        can, pay = _CountingScorer(0.5), _CountingScorer(0.25)
+        config = DecodingConfig(score_mode=score_mode, m=4, k=1)
+        history = History("obs.")
+        assert expand_candidates(_ScriptedSay({}), can, pay, history, config) == []
+        assert can.lists == pay.lists == []
 
 
 class TestGreedyToken:

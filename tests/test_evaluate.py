@@ -16,7 +16,6 @@ from saycanpay.evaluate import (
     evaluate_episodes,
     execute_plan,
     plan_episode,
-    planning_success,
     relative_length,
     render_table,
     run_cells,
@@ -86,14 +85,6 @@ class TestExecutePlan:
 
 
 class TestMetrics:
-    def test_planning_success_counts_over_100(self):
-        results = [fake_result(i < 73, 2, 2) for i in range(100)]
-        assert planning_success(results) == 73
-
-    def test_planning_success_requires_exactly_100(self):
-        with pytest.raises(ContractError):
-            planning_success([fake_result(True, 2, 2)] * 99)
-
     def test_cost_effectiveness_counts_optimal_successes(self):
         results = [
             fake_result(True, 2, 2),   # optimal success

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import random_reachable_history
 from saycanpay.core import ActionInstance, ContractError, GoalSpec, History
 from saycanpay.features import (
     DIM,
@@ -127,25 +128,6 @@ def test_empty_candidate_list_and_unknown_profile():
         featurize(goal, history, [], profile="fancy")
 
 
-def _random_reachable_history(env_id, seed, split, walk):
-    """An episode and a history reached by feasible moves chosen from `walk`."""
-    env = get_env(env_id)
-    spec = reset(env_id, seed, split)
-    vocab = env.admissible_actions(spec)
-    state, history = spec.init_state, History(spec.init_obs)
-    for choice in walk:
-        feasible = [
-            a for a in vocab
-            if not a.is_done and env.precondition_holds(state, spec.goal, a)
-        ]
-        if not feasible:
-            break
-        action = feasible[choice % len(feasible)]
-        state = env.step(state, spec.goal, action)
-        history = history.extended(action)
-    return spec.goal, history, vocab
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     env_id=st.sampled_from(ENV_IDS),
@@ -167,7 +149,7 @@ def test_featurize_matches_the_hashed_gram_counts(env_id, seed, split, walk, pic
         history = History(history.init_obs, (step,) * len(walk))
         vocab = [action, ActionInstance.from_text("drop key in void", op=("drop",))]
     else:
-        goal, history, vocab = _random_reachable_history(env_id, seed, split, walk)
+        goal, history, vocab = random_reachable_history(env_id, seed, split, walk)
     actions = [vocab[p % len(vocab)] for p in picks]
     rows = rows_of(featurize(goal, history, actions, profile))
     assert rows == [reference_row(goal, history, a, profile) for a in actions]

@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from saycanpay.core import (
     ActionInstance,
@@ -17,7 +18,7 @@ from saycanpay.core import (
     ModelFileError,
 )
 from saycanpay.envs import ENV_IDS, get_env, reset
-from saycanpay.features import DIM, featurize
+from saycanpay.features import DIM, PROFILES, featurize
 from saycanpay.models import (
     MAX_REPLY_BYTES,
     AdamW,
@@ -35,7 +36,7 @@ from saycanpay.models import (
 )
 from saycanpay.trie import TokenTrie
 
-from conftest import reference_train
+from conftest import random_reachable_history, reference_train
 
 
 class TestLosses:
@@ -219,8 +220,8 @@ class TestLinearScorer:
         goal = GoalSpec(text="g x", predicate=("p",))
         history = History("an observation.")
         action = ActionInstance.from_text("do thing", op=("x",))
-        assert loaded.score(goal, history, action) == scorer.score(
-            goal, history, action
+        assert loaded.score(goal, history, [action]) == scorer.score(
+            goal, history, [action]
         )
 
     @pytest.mark.parametrize(
@@ -260,8 +261,35 @@ class TestLinearScorer:
         full = LinearScorer("say", "hanoi", head="softmax", profile="full")
         full.weights = weights.copy()
         plain_rows = featurize(goal, history, [action], profile="plain")
-        assert sigmoid(say.logits(plain_rows)[0]) == say.score(goal, history, action)
-        assert full.score(goal, history, action) != say.score(goal, history, action)
+        plain = say.score(goal, history, [action])
+        assert plain == [sigmoid(say.logits(plain_rows)[0])]
+        assert full.score(goal, history, [action]) != plain
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    env_id=st.sampled_from(ENV_IDS),
+    seed=st.integers(0, 300),
+    walk=st.lists(st.integers(0, 50), max_size=8),
+    picks=st.lists(st.integers(0, 50), min_size=1, max_size=8),
+    profile=st.sampled_from(PROFILES),
+    weight_seed=st.integers(0, 2**32 - 1),
+)
+def test_list_score_is_bit_identical_to_one_candidate_scores(
+    env_id, seed, walk, picks, profile, weight_seed
+):
+    """Scoring a candidate list equals scoring each candidate alone, bit for
+    bit: every row keeps its own dot product.  The list always repeats its
+    first candidate."""
+    goal, history, vocab = random_reachable_history(env_id, seed, "train", walk)
+    actions = [vocab[p % len(vocab)] for p in picks + picks[:1]]
+    scorer = LinearScorer("can", env_id, head="sigmoid", profile=profile)
+    rng = np.random.default_rng(weight_seed)
+    scorer.weights = rng.normal(scale=1e-3, size=DIM)
+    scorer.bias = float(rng.normal())
+    assert scorer.score(goal, history, actions) == [
+        scorer.score(goal, history, [a])[0] for a in actions
+    ]
 
 
 class TestSayProposals:
@@ -378,8 +406,7 @@ class TestTraining:
         scorer = train("can", samples, TrainConfig(), "hanoi")
         wins = 0
         for s in samples:
-            pos = scorer.score(s.goal, s.history, s.positive)
-            neg = scorer.score(s.goal, s.history, s.neg_cross)
+            pos, neg = scorer.score(s.goal, s.history, [s.positive, s.neg_cross])
             wins += pos > neg
         assert wins / len(samples) > 0.7
 

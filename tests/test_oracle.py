@@ -293,12 +293,12 @@ class TestOracleCan:
         env = get_env("blocks")
         spec = reset("blocks", 2, "train")
         can = OracleCan(ReplayCache(env, spec))
-        history = History(spec.init_obs)
-        for action in env.admissible_actions(spec):
-            expected = 1.0 if env.precondition_holds(
-                spec.init_state, spec.goal, action
-            ) else 0.0
-            assert can(history, action) == expected
+        vocab = env.admissible_actions(spec)
+        expected = [
+            1.0 if env.precondition_holds(spec.init_state, spec.goal, a) else 0.0
+            for a in vocab
+        ]
+        assert can(History(spec.init_obs), vocab) == expected
 
     def test_broken_history_scores_zero(self):
         env = get_env("blocks")
@@ -306,7 +306,7 @@ class TestOracleCan:
         can = OracleCan(ReplayCache(env, spec))
         put = next(a for a in env.admissible_actions(spec) if not a.is_done)
         history = History(spec.init_obs).extended(put).extended(put)
-        assert can(history, put) == 0.0
+        assert can(history, [put, put]) == [0.0, 0.0]
 
 
 class TestOraclePay:
@@ -318,7 +318,7 @@ class TestOraclePay:
         history = History(spec.init_obs)
         horizon = len(traj.actions)
         for t, action in enumerate(traj.actions, start=1):
-            assert pay(history, action) == pytest.approx(DELTA ** (horizon - t))
+            assert pay(history, [action]) == pytest.approx([DELTA ** (horizon - t)])
             history = history.extended(action)
 
     def test_done_at_goal_pays_one(self):
@@ -328,7 +328,7 @@ class TestOraclePay:
         history = History(spec.init_obs)
         for action in traj.actions[:-1]:
             history = history.extended(action)
-        assert OraclePay(ReplayCache(env, spec))(history, traj.actions[-1]) == 1.0
+        assert OraclePay(ReplayCache(env, spec))(history, [traj.actions[-1]]) == [1.0]
 
     def test_one_step_from_goal_pays_delta(self):
         env = get_env("hanoi")
@@ -341,7 +341,7 @@ class TestOraclePay:
             for action in traj.actions[:-2]:
                 history = history.extended(action)
             pay = OraclePay(ReplayCache(env, spec))
-            assert pay(history, traj.actions[-2]) == pytest.approx(DELTA)
+            assert pay(history, [traj.actions[-2]]) == pytest.approx([DELTA])
             return
         pytest.fail("no multi-step episode found")
 
@@ -355,7 +355,7 @@ class TestOraclePay:
             for a in env.admissible_actions(spec)
             if not env.precondition_holds(spec.init_state, spec.goal, a)
         )
-        assert pay(history, infeasible) == 0.0
+        assert pay(history, [infeasible]) == [0.0]
 
     def test_dead_end_pays_zero(self):
         env = get_env("hanoi")
@@ -374,7 +374,9 @@ class TestOraclePay:
             if not a.is_done and env.precondition_holds(spec.init_state, spec.goal, a)
         ]
         # budget of one step: only a move landing directly on the goal has value
-        for action in feasible_moves:
-            finishes = env.is_goal(env.step(spec.init_state, spec.goal, action), spec.goal)
-            expected = DELTA if finishes else 0.0
-            assert pay(history, action) == pytest.approx(expected)
+        expected = [
+            DELTA if env.is_goal(env.step(spec.init_state, spec.goal, a), spec.goal)
+            else 0.0
+            for a in feasible_moves
+        ]
+        assert pay(history, feasible_moves) == pytest.approx(expected)
