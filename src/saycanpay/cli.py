@@ -34,31 +34,33 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
-DEFAULTS = {
-    "env": "gridworld",
-    "split": "test",
-    "strategy": "beam-action",
-    "score": "saycanpay",
-    "m": 6,
-    "k": 3,
-    "delta": DELTA,
-    "lr": 1e-4,
-    "wd": 1e-5,
-    "batch": 50,
-    "epochs": 20,
-    "seed": 0,
-    "jobs": os.cpu_count() or 1,
-    "backend_say": "trained",
-    "backend_can": "trained",
-    "backend_pay": "trained",
-    "adapter_endpoint": None,
-    "out": ".",
-    "train": 400,
-    "test": 100,
-    "gen": 100,
-    "kind": "all",
-    "data": None,
-    "models": "models",
+# Every option: its built-in default and the argparse keywords that check a
+# flag; a config file's values are checked against the same entry.
+OPTIONS = {
+    "env": ("gridworld", dict(choices=ENV_IDS)),
+    "split": ("test", dict(choices=SPLITS)),
+    "strategy": ("beam-action", dict(choices=STRATEGIES)),
+    "score": ("saycanpay", dict(choices=SCORE_MODES)),
+    "m": (6, dict(type=int)),
+    "k": (3, dict(type=int)),
+    "delta": (DELTA, dict(type=float)),
+    "lr": (1e-4, dict(type=float)),
+    "wd": (1e-5, dict(type=float)),
+    "batch": (50, dict(type=int)),
+    "epochs": (20, dict(type=int)),
+    "seed": (0, dict(type=int)),
+    "jobs": (os.cpu_count() or 1, dict(type=int)),
+    "backend_say": ("trained", dict(choices=SAY_BACKENDS)),
+    "backend_can": ("trained", dict(choices=CAN_BACKENDS)),
+    "backend_pay": ("trained", dict(choices=PAY_BACKENDS)),
+    "adapter_endpoint": (None, dict()),
+    "out": (".", dict()),
+    "train": (400, dict(type=int)),
+    "test": (100, dict(type=int)),
+    "gen": (100, dict(type=int)),
+    "kind": ("all", dict(choices=(*MODEL_KINDS, "all"))),
+    "data": (None, dict()),
+    "models": ("models", dict()),
 }
 
 
@@ -70,46 +72,38 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser: _Parser, names: list[str]) -> None:
-    specs = {
-        "env": dict(choices=ENV_IDS),
-        "split": dict(choices=SPLITS),
-        "strategy": dict(choices=STRATEGIES),
-        "score": dict(choices=SCORE_MODES),
-        "m": dict(type=int),
-        "k": dict(type=int),
-        "delta": dict(type=float),
-        "lr": dict(type=float),
-        "wd": dict(type=float),
-        "batch": dict(type=int),
-        "epochs": dict(type=int),
-        "seed": dict(type=int),
-        "jobs": dict(type=int),
-        "backend-say": dict(choices=SAY_BACKENDS),
-        "backend-can": dict(choices=CAN_BACKENDS),
-        "backend-pay": dict(choices=PAY_BACKENDS),
-        "adapter-endpoint": dict(),
-        "out": dict(),
-        "train": dict(type=int),
-        "test": dict(type=int),
-        "gen": dict(type=int),
-        "kind": dict(choices=(*MODEL_KINDS, "all")),
-        "data": dict(),
-        "models": dict(),
-    }
     for name in names:
-        key = name.replace("-", "_")
+        default, checks = OPTIONS[name.replace("-", "_")]
         parser.add_argument(
-            f"--{name}",
-            default=None,
-            help=f"default: {DEFAULTS[key]}",
-            **specs[name],
+            f"--{name}", default=None, help=f"default: {default}", **checks
         )
     parser.add_argument("--config", default=None, help="JSON config file")
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """CLI flag > config file > built-in default."""
-    resolved = dict(DEFAULTS)
+def _checked(config_path: str, key: str, value):
+    """A config file's `value` for option `key`, checked as its flag would be;
+    null is allowed only where the default is null."""
+    default, checks = OPTIONS[key]
+    kind = checks.get("type", str)
+    if value is None:
+        ok = default is None
+    elif "choices" in checks:
+        ok = value in checks["choices"]
+    else:
+        types = (int, float) if kind is float else kind
+        ok = isinstance(value, types) and not isinstance(value, bool)
+    if not ok:
+        choices = checks.get("choices")
+        expected = f"one of {', '.join(choices)}" if choices else kind.__name__
+        raise ContractError(
+            f"config {config_path}: {key!r} must be {expected}, not {value!r}"
+        )
+    return float(value) if kind is float else value
+
+
+def _resolve(args: argparse.Namespace, **defaults) -> dict:
+    """CLI flag > config file > `defaults` > built-in default."""
+    resolved = {key: default for key, (default, _) in OPTIONS.items()} | defaults
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -121,9 +115,9 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ContractError(f"config {config_path} is not a JSON object")
         for key, value in file_conf.items():
             name = key.replace("-", "_")
-            if name not in DEFAULTS:
+            if name not in OPTIONS:
                 raise ContractError(f"config {config_path}: unknown key {key!r}")
-            resolved[name] = value
+            resolved[name] = _checked(config_path, name, value)
     for key, value in vars(args).items():
         if key not in ("command", "config", "ablation") and value is not None:
             resolved[key] = value
@@ -211,9 +205,9 @@ def cmd_plan(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    opts = _resolve(args)
-    strategies = [opts["strategy"]] if args.strategy else ["greedy-action", "beam-action"]
-    scores = [opts["score"]] if args.score else ["say", "saycan", "saycanpay"]
+    opts = _resolve(args, strategy=None, score=None)  # unset: the whole grid
+    strategies = [opts["strategy"]] if opts["strategy"] else ["greedy-action", "beam-action"]
+    scores = [opts["score"]] if opts["score"] else ["say", "saycan", "saycanpay"]
     backends = {role: opts[f"backend_{role}"] for role in ("say", "can", "pay")}
     report = run_matrix(
         data_dir=Path(opts["data"]),

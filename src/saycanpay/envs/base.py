@@ -88,12 +88,15 @@ class Environment(ABC):
     ) -> bool:
         return self.violation(state, goal, action) is None
 
-    def applicable(
-        self, state: SymbolicState, goal: GoalSpec, actions: list[ActionInstance]
+    def relevant_moves(
+        self, goal: GoalSpec, moves: list[ActionInstance]
     ) -> list[ActionInstance]:
-        """The actions whose precondition holds in `state`, in the given order;
-        a foreign action raises ContractError, as in precondition_holds."""
-        return [a for a in actions if self.precondition_holds(state, goal, a)]
+        """The moves a shortest plan to `goal` may take, in the given order.
+
+        The default keeps them all; an env overrides it only with a rule under
+        which breadth_first_plan returns the same plan from every state.
+        """
+        return moves
 
     def step(
         self, state: SymbolicState, goal: GoalSpec, action: ActionInstance
@@ -142,13 +145,14 @@ def breadth_first_plan(
     """Minimal action sequence (including the done action) to the goal.
 
     Expansion follows lexicographic action order, so the result is
-    deterministic. Each expanded state asks the env once for its applicable
-    moves. Returns None when no plan of length <= max_steps exists.
+    deterministic. Only the env's relevant moves are tried, each expanded
+    state filtering them by precondition. Returns None when no plan of
+    length <= max_steps exists.
     """
     vocab = env.admissible_actions(spec)
     done = next(a for a in vocab if a.is_done)
-    moves = [a for a in vocab if not a.is_done]
     goal = spec.goal
+    moves = env.relevant_moves(goal, [a for a in vocab if not a.is_done])
     state = spec.init_state if start_state is None else start_state
     if env.is_goal(state, goal):
         return [done]
@@ -159,7 +163,7 @@ def breadth_first_plan(
         current, depth = frontier.popleft()
         if depth >= max_moves:
             continue
-        for action in env.applicable(current, goal, moves):
+        for action in [a for a in moves if env.precondition_holds(current, goal, a)]:
             nxt = env.step(current, goal, action)
             if nxt in parents:
                 continue

@@ -151,21 +151,22 @@ class BlocksEnv(Environment):
             return f"{block} is already in a bowl"
         return None
 
-    def applicable(self, state, goal, actions) -> list[ActionInstance]:
-        """The base filter with the put rule inlined, so the state's entity
-        tables and placements are read once per call, not once per action."""
-        puts = state.entities.puts
-        placed = state.placed
-        out = []
-        for action in actions:
-            if action.is_done:
-                if self.violation(state, goal, action) is None:
-                    out.append(action)
-            elif action.op not in puts:
-                raise ContractError(f"foreign action {action.text!r}")
-            elif action.op[1] not in placed:
-                out.append(action)
-        return out
+    def relevant_moves(self, goal, moves) -> list[ActionInstance]:
+        """The puts of a goal-colour block into a goal-colour bowl.
+
+        This is exact. Placements are permanent, so any other put is a wasted
+        step (a block the goal ignores) or a dead end (a goal block in a bowl
+        of another colour), and no shortest plan takes one. Every predecessor
+        of a state reached by kept puts is reached by kept puts, so the kept
+        states are discovered from kept states in the same BFS order, and the
+        first shortest plan from any start state is unchanged.
+        """
+        _, block_color, bowl_color = goal.predicate
+        return [
+            a for a in moves
+            if a.op[1].startswith(f"{block_color} block")
+            and a.op[2].startswith(f"{bowl_color} bowl")
+        ]
 
     def _apply(self, state: BlocksState, action: ActionInstance) -> BlocksState:
         placements = tuple(

@@ -67,17 +67,13 @@ class ReplayCache:
         A suffix of the shortest, lexicographically first plan is the
         shortest, lexicographically first plan from the state it starts in,
         and it fits max_steps, so every suffix of a found plan is stored.
-        A search that finds no plan and expanded every state it reached
-        (none was cut off at max_steps) has proved all of them dead, so
-        None is stored for each; a capped search stores None for `state` only.
+        A search that finds no plan stores None for `state` only.
         """
         if state in self._plans:
             return self._plans[state]
-        log = _SearchLog(self.env)
-        found = breadth_first_plan(log, self.spec, start_state=state)
+        found = breadth_first_plan(self.env, self.spec, start_state=state)
         if found is None:
-            dead = log.reached if log.reached == log.expanded else (state,)
-            self._plans.update(dict.fromkeys(dead))
+            self._plans[state] = None
             return None
         plan = tuple(found)
         for i, action in enumerate(plan):
@@ -85,31 +81,6 @@ class ReplayCache:
             if not action.is_done:
                 state = self.env.step(state, self.spec.goal, action)
         return plan
-
-
-class _SearchLog:
-    """The env as one search sees it, noting the states that search
-    goal-tested (each state it reached) and the states it expanded (asked for
-    applicable moves).
-
-    breadth_first_plan returns only the plan; this view tells plan_from
-    which states a search that found none has enumerated.
-    """
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self.admissible_actions = env.admissible_actions
-        self.step = env.step
-        self.reached: set[SymbolicState] = set()
-        self.expanded: set[SymbolicState] = set()
-
-    def is_goal(self, state, goal):
-        self.reached.add(state)
-        return self.env.is_goal(state, goal)
-
-    def applicable(self, state, goal, actions):
-        self.expanded.add(state)
-        return self.env.applicable(state, goal, actions)
 
 
 class OracleCan:

@@ -87,9 +87,9 @@ def reference_greedy_action(say, can, pay, episode, config) -> PlanResult:
 def reference_breadth_first_plan(env, spec, start_state=None):
     """Independent BFS that asks `precondition_holds` once per (state, move).
 
-    The library's breadth_first_plan asks the env once per expanded state
-    for its applicable moves; this loop is the reference that plan identity
-    is checked against.
+    The library's breadth_first_plan tries only the env's relevant moves;
+    this loop tries every move and is the reference that plan identity is
+    checked against.
     """
     vocab = env.admissible_actions(spec)
     done = next(a for a in vocab if a.is_done)

@@ -96,8 +96,10 @@ class TestConfigPrecedence:
             ("[7, 2, 1]", "not a JSON object"),
             ('{"epoch": 1}', "unknown key 'epoch'"),
             ("{not json", "is not JSON"),
+            ('{"seed": "0"}', "'seed' must be int"),
+            ('{"env": "chess"}', "'env' must be one of"),
         ],
-        ids=["not-an-object", "unknown-key", "not-json"],
+        ids=["not-an-object", "unknown-key", "not-json", "wrong-type", "bad-choice"],
     )
     def test_bad_config_file_returns_one(self, tmp_path, text, named):
         config = tmp_path / "conf.json"
@@ -109,6 +111,22 @@ class TestConfigPrecedence:
         assert proc.returncode == 1
         assert named in proc.stderr
         assert not (tmp_path / "d").exists()
+
+    def test_eval_takes_strategy_and_score_from_the_config_file(
+        self, tiny_data_dir, tmp_path
+    ):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"strategy": "greedy-action", "score": "say"}))
+        proc = run_cli(
+            "eval", "--env", "hanoi", "--backend-say", "uniform",
+            "--data", str(tiny_data_dir), "--models", str(tmp_path / "none"),
+            "--out", str(tmp_path), "--jobs", "1", "--config", str(config),
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "eval_report.json").read_text())
+        assert [(c["strategy"], c["score"]) for c in report["cells"]] == [
+            ("greedy-action", "say")
+        ]
 
 
 class TestTrainPlanEval:

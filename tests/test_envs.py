@@ -407,8 +407,9 @@ def test_render_observation_is_injective_on_reachable_states(
     states = set()
     for state in walked:
         states.add(state)
-        for action in env.applicable(state, spec.goal, env.admissible_actions(spec)):
-            states.add(env.step(state, spec.goal, action))
+        for action in env.admissible_actions(spec):
+            if env.precondition_holds(state, spec.goal, action):
+                states.add(env.step(state, spec.goal, action))
     assert len({env.render_observation(s) for s in states}) == len(states)
 
 
@@ -422,36 +423,6 @@ def test_step_keeps_state_invariants(env_id, seed, split, choices):
             _check_transition(env_id, state, action, nxt)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    env_id=st.sampled_from(ENV_IDS),
-    seed=st.integers(0, 300),
-    split=st.sampled_from(SPLITS),
-    choices=st.lists(st.integers(0, 100), max_size=8),
-)
-def test_applicable_matches_the_per_action_filter(env_id, seed, split, choices):
-    """On reachable states, and on the goal state the expert plan reaches
-    from them, `applicable` over the whole vocabulary (done included) keeps
-    exactly the actions whose precondition holds, in vocabulary order."""
-    env = get_env(env_id)
-    spec = reset(env_id, seed, split)
-    vocab = env.admissible_actions(spec)
-    states = [spec.init_state]
-    for _, _, _, nxt in _random_walk(env_id, seed, split, choices):
-        if nxt is not None:
-            states.append(nxt)
-    plan = breadth_first_plan(env, spec, start_state=states[-1]) or []
-    for action in plan[:-1]:
-        states.append(env.step(states[-1], spec.goal, action))
-    done = next(a for a in vocab if a.is_done)
-    for state in states:
-        expected = [a for a in vocab if env.precondition_holds(state, spec.goal, a)]
-        assert env.applicable(state, spec.goal, vocab) == expected
-        assert (done in expected) == env.is_goal(state, spec.goal)
-    if plan:
-        assert env.is_goal(states[-1], spec.goal)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     env_id=st.sampled_from(ENV_IDS),
@@ -460,12 +431,13 @@ def test_applicable_matches_the_per_action_filter(env_id, seed, split, choices):
     other=st.tuples(st.sampled_from(ENV_IDS), st.integers(0, 300), st.sampled_from(SPLITS)),
     pick=st.integers(0, 1000),
 )
-def test_foreign_actions_raise_from_applicable_and_precondition_holds(
+def test_foreign_actions_raise_from_precondition_holds_and_step(
     env_id, seed, split, other, pick
 ):
     """An action from another episode's vocabulary (of any env) raises
-    ContractError from `applicable` exactly when it does from
-    `precondition_holds`; otherwise both agree on whether it applies."""
+    ContractError from `step` exactly when it does from `precondition_holds`;
+    otherwise `step` raises InfeasibleActionError exactly when the
+    precondition fails."""
     env = get_env(env_id)
     spec = reset(env_id, seed, split)
     foreign_vocab = get_env(other[0]).admissible_actions(reset(*other))
@@ -476,12 +448,12 @@ def test_foreign_actions_raise_from_applicable_and_precondition_holds(
     except ContractError:
         with pytest.raises(ContractError):
             env.step(state, spec.goal, action)
-        with pytest.raises(ContractError):
-            env.applicable(state, spec.goal, [action])
-        with pytest.raises(ContractError):
-            env.applicable(state, spec.goal, env.admissible_actions(spec) + [action])
         return
-    assert env.applicable(state, spec.goal, [action]) == ([action] if holds else [])
+    if holds:
+        env.step(state, spec.goal, action)
+    else:
+        with pytest.raises(InfeasibleActionError):
+            env.step(state, spec.goal, action)
 
 
 @pytest.mark.parametrize(
@@ -496,8 +468,7 @@ def test_foreign_actions_raise_from_applicable_and_precondition_holds(
 )
 def test_a_foreign_action_raises_contract_error(env_id, seed, split, other):
     """Foreign actions (another episode's moves, or a rod the env lacks) raise
-    ContractError from every entry point: precondition_holds, step and
-    applicable."""
+    ContractError from every entry point: precondition_holds and step."""
     env = get_env(env_id)
     spec = reset(env_id, seed, split)
     if isinstance(other, ActionInstance):
@@ -514,5 +485,3 @@ def test_a_foreign_action_raises_contract_error(env_id, seed, split, other):
             env.precondition_holds(spec.init_state, spec.goal, action)
         with pytest.raises(ContractError):
             env.step(spec.init_state, spec.goal, action)
-        with pytest.raises(ContractError):
-            env.applicable(spec.init_state, spec.goal, [action])

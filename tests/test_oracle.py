@@ -131,8 +131,8 @@ _WALK = st.lists(st.integers(0, 1000), max_size=6)
 )
 def test_plan_from_matches_a_fresh_search(data, env_id, seed, max_steps):
     """Memoized plans, including the suffixes stored for states never
-    searched from and the None stored for the states of a dead region, equal
-    a fresh search from the same state."""
+    searched from and the None stored for a failed search's start, equal a
+    fresh search from the same state."""
     env = get_env(env_id)
     spec = reset(env_id, seed, "train")
     if max_steps is not None:
@@ -147,7 +147,7 @@ def test_plan_from_matches_a_fresh_search(data, env_id, seed, max_steps):
         plan = oracle.plan_from(state)
         fresh = reference_breadth_first_plan(env, spec, start_state=state)
         assert plan == (None if fresh is None else tuple(fresh))
-        if plan is None:  # a successor is memoized as dead after an exhaustive search
+        if plan is None:  # a successor of a dead state is searched on its own
             choice = data.draw(st.integers(0, 1000))
             pending.append(_random_walk(env, replace(spec, init_state=state), [choice]))
         for action in (plan or ())[:-1]:
@@ -182,8 +182,9 @@ def test_bfs_plan_length_matches_exhaustive_search_from_reachable_states(
     max_steps=st.one_of(st.none(), st.integers(1, 5)),
 )
 def test_bfs_matches_the_per_action_reference(env_id, seed, split, walk, max_steps):
-    """The batched-`applicable` BFS finds the same plan (or None) as the
-    loop that asks `precondition_holds` once per move."""
+    """The BFS over the env's relevant moves finds the same plan (or None)
+    as the loop that tries every move, asking `precondition_holds` once per
+    move."""
     env = get_env(env_id)
     spec = reset(env_id, seed, split)
     if max_steps is not None:
@@ -225,20 +226,10 @@ def _count_searches(monkeypatch):
 
 def _successors(env, spec, state):
     moves = [a for a in env.admissible_actions(spec) if not a.is_done]
-    return [env.step(state, spec.goal, a) for a in env.applicable(state, spec.goal, moves)]
-
-
-def test_an_exhaustive_failed_search_memoizes_its_dead_region(monkeypatch):
-    env, spec, dead = _dead_blocks_state()
-    oracle = ReplayCache(env, spec)
-    calls = _count_searches(monkeypatch)
-    assert oracle.plan_from(dead) is None
-    assert len(calls) == 1
-    successors = _successors(env, spec, dead)
-    assert successors
-    for state in successors + _successors(env, spec, successors[0]):
-        assert oracle.plan_from(state) is None
-    assert len(calls) == 1
+    return [
+        env.step(state, spec.goal, a)
+        for a in moves if env.precondition_holds(state, spec.goal, a)
+    ]
 
 
 def test_a_capped_failed_search_memoizes_its_start_only(monkeypatch):
