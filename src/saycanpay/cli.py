@@ -39,15 +39,15 @@ EXIT_RUNTIME = 2
 OPTIONS = {
     "env": ("gridworld", dict(choices=ENV_IDS)),
     "split": ("test", dict(choices=SPLITS)),
-    "strategy": ("beam-action", dict(choices=STRATEGIES)),
-    "score": ("saycanpay", dict(choices=SCORE_MODES)),
-    "m": (6, dict(type=int)),
-    "k": (3, dict(type=int)),
+    "strategy": (DecodingConfig.strategy, dict(choices=STRATEGIES)),
+    "score": (DecodingConfig.score_mode, dict(choices=SCORE_MODES)),
+    "m": (DecodingConfig.m, dict(type=int)),
+    "k": (DecodingConfig.k, dict(type=int)),
     "delta": (DELTA, dict(type=float)),
-    "lr": (1e-4, dict(type=float)),
-    "wd": (1e-5, dict(type=float)),
-    "batch": (50, dict(type=int)),
-    "epochs": (20, dict(type=int)),
+    "lr": (TrainConfig.lr, dict(type=float)),
+    "wd": (TrainConfig.weight_decay, dict(type=float)),
+    "batch": (TrainConfig.batch_size, dict(type=int)),
+    "epochs": (TrainConfig.epochs, dict(type=int)),
     "seed": (0, dict(type=int)),
     "jobs": (os.cpu_count() or 1, dict(type=int)),
     "backend_say": ("trained", dict(choices=SAY_BACKENDS)),
@@ -71,11 +71,14 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _add_common(parser: _Parser, names: list[str]) -> None:
+def _add_common(parser: _Parser, names: list[str], **shown) -> None:
+    """Add each option's flag; `shown` overrides the default its help shows."""
     for name in names:
-        default, checks = OPTIONS[name.replace("-", "_")]
+        key = name.replace("-", "_")
+        default, checks = OPTIONS[key]
         parser.add_argument(
-            f"--{name}", default=None, help=f"default: {default}", **checks
+            f"--{name}", default=None, help=f"default: {shown.get(key, default)}",
+            **checks,
         )
     parser.add_argument("--config", default=None, help="JSON config file")
 
@@ -224,12 +227,7 @@ def cmd_eval(args) -> int:
         endpoint=opts["adapter_endpoint"],
         delta=opts["delta"],
     )
-    out = Path(opts["out"])
-    path = out if out.suffix == ".json" else out / "eval_report.json"
-    write_report(report, path)
-    print(report["table"])
-    print(f"report -> {path}")
-    return EXIT_OK
+    return _write(report, opts["out"], "eval_report.json")
 
 
 def cmd_ablate(args) -> int:
@@ -246,8 +244,14 @@ def cmd_ablate(args) -> int:
         endpoint=opts["adapter_endpoint"],
         delta=opts["delta"],
     )
-    out = Path(opts["out"])
-    path = out if out.suffix == ".json" else out / f"ablate_{args.ablation}.json"
+    return _write(report, opts["out"], f"ablate_{args.ablation}.json")
+
+
+def _write(report: dict, out: str, name: str) -> int:
+    """Write the report to `out` (a .json path, else `out`/`name`) and print
+    its table."""
+    out = Path(out)
+    path = out if out.suffix == ".json" else out / name
     write_report(report, path)
     print(report["table"])
     print(f"report -> {path}")
@@ -273,7 +277,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="run the strategy x score evaluation grid")
     _add_common(p, ["env", "split", "strategy", "score", "m", "k", "delta", "seed",
                     "jobs", "backend-say", "backend-can", "backend-pay",
-                    "adapter-endpoint", "data", "models", "out"])
+                    "adapter-endpoint", "data", "models", "out"],
+                strategy="all", score="all")
 
     p = sub.add_parser("ablate", help="beam-size or perfect-say ablation")
     p.add_argument("ablation", choices=("beam-size", "perfect-say"))

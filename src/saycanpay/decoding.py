@@ -27,15 +27,12 @@ class DecodingConfig:
     score_mode: str = "saycanpay"
     m: int = 6
     k: int = 3
-    max_steps: int = 20
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ContractError(f"unknown strategy {self.strategy!r}")
         if not 1 <= self.k <= self.m:
             raise ContractError("beam count k must satisfy 1 <= k <= m")
-        if self.max_steps < 1:
-            raise ContractError("max_steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,8 @@ class _BeamState:
 def beam_action(
     say, can, pay, episode: EpisodeSpec, config: DecodingConfig
 ) -> PlanResult:
-    """Maintain k beams ranked by length-normalized accumulated log-score.
+    """Maintain k beams ranked by length-normalized accumulated log-score,
+    for at most the episode's `max_steps` steps.
 
     Terminated beams are not expanded but keep competing at their frozen
     normalized score.  A terminated beam that makes the top-k also enters a
@@ -150,7 +148,7 @@ def beam_action(
         )
     ]
     finished: list[_BeamState] = []
-    for step in range(config.max_steps):
+    for step in range(episode.max_steps):
         if all(b.terminated for b in beams):
             break
         extensions: list[_BeamState] = []
@@ -167,7 +165,7 @@ def beam_action(
                 candidates = [best_cand]
             for cand in candidates:
                 done = cand.action.is_done
-                at_limit = step + 1 >= config.max_steps
+                at_limit = step + 1 >= episode.max_steps
                 extensions.append(
                     _BeamState(
                         history=beam.history.extended(cand.action),
@@ -191,16 +189,22 @@ def greedy_action(
     return beam_action(say, can, pay, episode, replace(config, k=1))
 
 
-def greedy_token(policy_backend, episode: EpisodeSpec, config: DecodingConfig,
-                 vocab: list[ActionInstance]) -> PlanResult:
-    """Token-level argmax decoding over the vocabulary trie."""
+def greedy_token(say, episode: EpisodeSpec, config: DecodingConfig) -> PlanResult:
+    """Token-level argmax decoding over the trie of the Say backend's
+    vocabulary, which must expose its full distribution (`action_probs`)."""
+    if not hasattr(say, "action_probs"):
+        raise ContractError(
+            f"strategy greedy-token needs a Say backend with a full action "
+            f"distribution; {type(say).__name__} has none"
+        )
+    vocab = say.vocab
     trie = TokenTrie(vocab)
     history = History(episode.init_obs)
     per_step: list[ScoredCandidate] = []
     f_acc = 0.0
     terminated_by = "step-limit"
-    for _ in range(config.max_steps):
-        probs = policy_backend.action_probs(history)
+    for _ in range(episode.max_steps):
+        probs = say.action_probs(history)
         action = trie.greedy_action(probs)
         p_say = float(probs[vocab.index(action)])
         step = math.log(clamp(p_say))
@@ -223,14 +227,11 @@ def run_strategy(
     say,
     can=None,
     pay=None,
-    vocab: list[ActionInstance] | None = None,
 ) -> PlanResult:
     """Dispatch on config.strategy; `can` and `pay` may be None where the
     strategy or score mode never calls them."""
     if config.strategy == "greedy-token":
-        if vocab is None:
-            raise ContractError("greedy-token needs the episode vocabulary")
-        return greedy_token(say, episode, config, vocab)
+        return greedy_token(say, episode, config)
     if config.strategy == "greedy-action":
         return greedy_action(say, can, pay, episode, config)
     return beam_action(say, can, pay, episode, config)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .backends import BackendChoice, episode_backends
@@ -21,7 +22,6 @@ from .oracle import DELTA, Trajectory
 @dataclass(frozen=True)
 class EpisodeResult:
     episode_id: str
-    config_fingerprint: str
     plan: PlanResult
     executed_ok: bool
     reached_goal: bool
@@ -31,8 +31,7 @@ class EpisodeResult:
 
 
 def execute_plan(
-    env, spec, plan: PlanResult, optimal_length: int,
-    fingerprint: str = "", wall_time: float = 0.0,
+    env, spec, plan: PlanResult, optimal_length: int, wall_time: float = 0.0
 ) -> EpisodeResult:
     """Replay a plan through `env.step`; the first infeasible action halts
     execution.
@@ -51,7 +50,6 @@ def execute_plan(
     reached = executed_ok and len(plan.plan) > 0 and plan.plan[-1].is_done
     return EpisodeResult(
         episode_id=spec.episode_id,
-        config_fingerprint=fingerprint,
         plan=plan,
         executed_ok=executed_ok,
         reached_goal=reached,
@@ -83,16 +81,10 @@ def plan_episode(
     spec = traj.episode
     started = time.perf_counter()
     say, can, pay = episode_backends(backends, env, spec)
-    vocab = env.admissible_actions(spec)
-    config = replace(config, max_steps=spec.max_steps)
-    plan = run_strategy(spec, config, say, can, pay, vocab=vocab)
-    fingerprint = (
-        f"{env_id}|{config.strategy}|{config.score_mode}"
-        f"|m={config.m},k={config.k}|{backends.fingerprint()}"
-    )
+    plan = run_strategy(spec, config, say, can, pay)
     return execute_plan(
         env, spec, plan, optimal_length=len(traj.actions),
-        fingerprint=fingerprint, wall_time=time.perf_counter() - started,
+        wall_time=time.perf_counter() - started,
     )
 
 
@@ -117,8 +109,11 @@ def evaluate_episodes(
     config: DecodingConfig,
     jobs: int = 1,
 ) -> list[EpisodeResult]:
-    """Evaluate every episode; results are ordered by input position regardless of jobs."""
-    if jobs <= 1:
+    """Evaluate every episode in `jobs` processes; results are ordered by
+    input position regardless of jobs."""
+    if jobs < 1:
+        raise ContractError(f"jobs must be >= 1, not {jobs}")
+    if jobs == 1:
         return [plan_episode(env_id, t, backends, config) for t in trajectories]
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=jobs,
@@ -229,7 +224,7 @@ def run_cells(
             "strategy": cell["strategy"],
             "score": cell["score"],
             "seed": cell["seed"],
-            "k": cell.get("k", 3),
+            "k": cell["k"],
         }
         try:
             backends = build_backends(
@@ -242,8 +237,8 @@ def run_cells(
         config = DecodingConfig(
             strategy=cell["strategy"],
             score_mode=cell["score"],
-            m=cell.get("m", 6),
-            k=cell.get("k", 3),
+            m=cell["m"],
+            k=cell["k"],
         )
         results = evaluate_episodes(env_id, trajectories, backends, config, jobs)
         row.update(summarize(results))
@@ -252,6 +247,29 @@ def run_cells(
     report = {"max_steps": max_steps, "cells": out_cells}
     report["table"] = render_table(out_cells)
     return report
+
+
+_TRAINED = {"say": "trained", "can": "trained", "pay": "trained"}
+
+
+def _grid(envs, splits, strategies, scores, says, ks, seeds, m, backends) -> list[dict]:
+    """One cell per env x split x strategy x score x say x k x seed, in that
+    order; `says` fills the Say role of `backends`."""
+    return [
+        {
+            "env": env_id,
+            "split": split,
+            "strategy": strategy,
+            "score": score,
+            "seed": seed,
+            "backends": {**backends, "say": say},
+            "m": m,
+            "k": k,
+        }
+        for env_id, split, strategy, score, say, k, seed in itertools.product(
+            envs, splits, strategies, scores, says, ks, seeds
+        )
+    ]
 
 
 def run_matrix(
@@ -264,29 +282,14 @@ def run_matrix(
     seeds: list[int],
     splits: list[str] = ("test",),
     jobs: int = 1,
-    m: int = 6,
-    k: int = 3,
+    m: int = DecodingConfig.m,
+    k: int = DecodingConfig.k,
     endpoint: str | None = None,
     delta: float = DELTA,
 ) -> dict:
     """Full strategy x score grid over the requested envs, splits, and seeds."""
-    cells = [
-        {
-            "env": env_id,
-            "split": split,
-            "strategy": strategy,
-            "score": score,
-            "seed": seed,
-            "backends": dict(backends),
-            "m": m,
-            "k": k,
-        }
-        for env_id in envs
-        for split in splits
-        for strategy in strategies
-        for score in scores
-        for seed in seeds
-    ]
+    says = [backends.get("say", "trained")]
+    cells = _grid(envs, splits, strategies, scores, says, [k], seeds, m, backends)
     return run_cells(cells, data_dir, model_dir, jobs=jobs, endpoint=endpoint,
                      delta=delta)
 
@@ -299,74 +302,40 @@ def ablate(
     seeds: list[int],
     split: str = "test",
     jobs: int = 1,
-    m: int = 6,
+    m: int = DecodingConfig.m,
     endpoint: str | None = None,
     delta: float = DELTA,
 ) -> dict:
     """Beam-size sweep or trained-vs-perfect proposer comparison."""
     if kind == "beam-size":
-        cells = [
-            {
-                "env": env_id,
-                "split": split,
-                "strategy": "beam-action",
-                "score": "saycanpay",
-                "seed": seed,
-                "backends": {"say": "trained", "can": "trained", "pay": "trained"},
-                "m": m,
-                "k": k,
-            }
-            for env_id in envs
-            for k in (1, 2, 3)
-            for seed in seeds
-        ]
-        return run_cells(cells, data_dir, model_dir, jobs=jobs, endpoint=endpoint,
-                         delta=delta)
+        cells = _grid(envs, [split], ["beam-action"], ["saycanpay"], ["trained"],
+                      [1, 2, 3], seeds, m, _TRAINED)
+    elif kind == "perfect-say":
+        cells = _grid(envs, [split], ["greedy-action"], ["saycan", "saycanpay"],
+                      ["trained", "perfect-say"], [1], seeds, m, _TRAINED)
+    else:
+        raise ContractError(f"unknown ablation {kind!r}")
+    report = run_cells(cells, data_dir, model_dir, jobs=jobs, endpoint=endpoint,
+                       delta=delta)
     if kind == "perfect-say":
-        cells = [
-            {
-                "env": env_id,
-                "split": split,
-                "strategy": "greedy-action",
-                "score": score,
-                "seed": seed,
-                "backends": {"say": say, "can": "trained", "pay": "trained"},
-                "m": m,
-                "k": 1,
-            }
-            for env_id in envs
-            for score in ("saycan", "saycanpay")
-            for say in ("trained", "perfect-say")
-            for seed in seeds
-        ]
-        report = run_cells(cells, data_dir, model_dir, jobs=jobs, endpoint=endpoint,
-                           delta=delta)
-        report["perfect_below_trained"] = _perfect_regressions(report["cells"])
-        return report
-    raise ContractError(f"unknown ablation {kind!r}")
+        report["perfect_below_trained"] = _perfect_regressions(cells, report["cells"])
+    return report
 
 
-def _perfect_regressions(cells: list[dict]) -> list[dict]:
-    """Soft check: cells where the perfect proposer scored below the trained one."""
+def _perfect_regressions(cells: list[dict], rows: list[dict]) -> list[dict]:
+    """Soft check: report rows where the perfect proposer scored below the
+    trained one; each row's Say backend is read from its input cell."""
     by_key: dict = {}
-    for cell in cells:
-        if "success" not in cell:
-            continue
-        say = cell["backends"].split(",")[0].split("=")[1]
-        by_key.setdefault((cell["env"], cell["score"], cell["seed"]), {})[say] = cell
+    for cell, row in zip(cells, rows, strict=True):
+        if "success" in row:
+            key = (row["env"], row["score"], row["seed"])
+            by_key.setdefault(key, {})[cell["backends"]["say"]] = row
     flagged = []
-    for pair in by_key.values():
-        if "trained" in pair and "perfect-say" in pair:
-            if pair["perfect-say"]["success"] < pair["trained"]["success"]:
-                flagged.append(
-                    {
-                        "env": pair["trained"]["env"],
-                        "score": pair["trained"]["score"],
-                        "seed": pair["trained"]["seed"],
-                        "trained": pair["trained"]["success"],
-                        "perfect": pair["perfect-say"]["success"],
-                    }
-                )
+    for (env_id, score, seed), pair in by_key.items():
+        trained, perfect = pair.get("trained"), pair.get("perfect-say")
+        if trained and perfect and perfect["success"] < trained["success"]:
+            flagged.append({"env": env_id, "score": score, "seed": seed,
+                            "trained": trained["success"], "perfect": perfect["success"]})
     return flagged
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import socket
-import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -214,14 +213,13 @@ def say_top_m(
     vocab: list[ActionInstance],
     m: int,
 ) -> list[tuple[ActionInstance, float]]:
-    """The m most probable vocabulary actions with exact softmax masses."""
+    """The m most probable vocabulary actions with exact softmax masses; an
+    m above the vocabulary size is clamped to it, as every proposer does."""
     if m < 1:
         raise ContractError("m must be >= 1")
     if not vocab:
         raise ContractError("vocab must be non-empty")
-    if m > len(vocab):
-        warnings.warn("m exceeds vocabulary size; clamping", RuntimeWarning)
-        m = len(vocab)
+    m = min(m, len(vocab))
     probs = policy.action_probs(history, goal, vocab)
     order = sorted(range(len(vocab)), key=lambda i: (-probs[i], vocab[i].text))
     return [(vocab[i], float(probs[i])) for i in order[:m]]
@@ -238,8 +236,7 @@ def perfect_say(
 
     if m < 1:
         raise ContractError("m must be >= 1")
-    if m > len(vocab):
-        m = len(vocab)
+    m = min(m, len(vocab))
     rng = random.Random(seed)
     pool = sorted((a for a in vocab if a.text != expert_action.text),
                   key=lambda a: a.text)

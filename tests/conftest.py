@@ -63,7 +63,7 @@ def reference_greedy_action(say, can, pay, episode, config) -> PlanResult:
     per_step: list[ScoredCandidate] = []
     f_acc = 0.0
     terminated_by = "step-limit"
-    for _ in range(config.max_steps):
+    for _ in range(episode.max_steps):
         candidates = expand_candidates(say, can, pay, history, config)
         if not candidates:
             break

@@ -152,10 +152,7 @@ def test_criterion_02_beam_one_equals_greedy(full_data_dir, full_model_dir):
         for score in ("say", "saycan", "saycanpay"):
             for traj in trajectories:
                 spec = traj.episode
-                config = DecodingConfig(
-                    strategy="beam-action", score_mode=score, k=1,
-                    max_steps=spec.max_steps,
-                )
+                config = DecodingConfig(strategy="beam-action", score_mode=score, k=1)
                 greedy = reference_greedy_action(
                     TrainedSay(env, spec, backends.say_policy),
                     TrainedCan(spec, backends.can_model),
@@ -379,7 +376,7 @@ def test_criterion_09_gradient_checks():
 def test_criterion_10_relative_length_rule():
     def result(reached, plan_length, optimal_length):
         return EpisodeResult(
-            episode_id="x", config_fingerprint="f",
+            episode_id="x",
             plan=PlanResult(plan=(), per_step=(), final_score=0.0,
                             terminated_by="done"),
             executed_ok=reached, reached_goal=reached,

@@ -34,9 +34,13 @@ class TestHelp:
         proc = run_cli("eval", "--help")
         assert proc.returncode == 0
         assert "--jobs" in proc.stdout
-        assert "default: beam-action" in proc.stdout
-        assert "default: saycanpay" in proc.stdout
+        # eval runs the whole grid unless --strategy or --score is set
+        assert proc.stdout.count("default: all") == 2
+        assert "default: beam-action" not in proc.stdout
         assert "default: 6" in proc.stdout  # m
+        plan = run_cli("plan", "--help")
+        assert "default: beam-action" in plan.stdout
+        assert "default: saycanpay" in plan.stdout
 
 
 class TestGenData:
@@ -217,6 +221,35 @@ class TestExitCodes:
             )
             assert proc.returncode == 2
             assert "hanoi_say_seed0.json" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["plan", "eval"])
+    def test_greedy_token_needs_a_full_distribution(
+        self, tiny_data_dir, tmp_path, command
+    ):
+        out = tmp_path / "out"
+        proc = run_cli(
+            command, "--env", "hanoi", "--strategy", "greedy-token",
+            "--backend-say", "perfect-say", "--backend-can", "oracle",
+            "--backend-pay", "oracle", "--data", str(tiny_data_dir),
+            *(["--out", str(out), "--jobs", "1"] if command == "eval" else []),
+        )
+        assert proc.returncode == 1, proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "greedy-token" in errors[0] and "PerfectSay" in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_returns_one(self, tiny_data_dir, tmp_path, jobs):
+        proc = run_cli(
+            "eval", "--env", "gridworld", "--strategy", "greedy-action",
+            "--score", "say", "--backend-say", "uniform", "--backend-can",
+            "oracle", "--backend-pay", "oracle", "--data", str(tiny_data_dir),
+            "--out", str(tmp_path / "out"), "--jobs", jobs,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.count("error:") == 1 and "jobs" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "content, named",

@@ -1,12 +1,13 @@
 """Decoding strategies: mapping, greedy/beam equivalence, beam advantages."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import reference_greedy_action
-from saycanpay.backends import UniformSay
+from saycanpay.backends import PerfectSay, UniformSay
 from saycanpay.core import SCORE_MODES, ActionInstance, ContractError, History
 from saycanpay.decoding import (
     DecodingConfig,
@@ -78,10 +79,6 @@ class TestDecodingConfig:
     def test_beam_count_bounds(self, k, m):
         with pytest.raises(ContractError):
             DecodingConfig(k=k, m=m)
-
-    def test_max_steps_bound(self):
-        with pytest.raises(ContractError):
-            DecodingConfig(max_steps=0)
 
 
 class _ScriptedSay:
@@ -156,11 +153,8 @@ class TestGreedyBeamEquivalence:
             return score
 
         say, can, pay = TableSay(), table(p_can), table(f_pay)
-        spec = reset("hanoi", 0, "train")
-        config = DecodingConfig(
-            strategy="beam-action", score_mode=score_mode, m=m, k=1,
-            max_steps=max_steps,
-        )
+        spec = replace(reset("hanoi", 0, "train"), max_steps=max_steps)
+        config = DecodingConfig(strategy="beam-action", score_mode=score_mode, m=m, k=1)
         assert beam_action(say, can, pay, spec, config) == reference_greedy_action(
             say, can, pay, spec, config
         )
@@ -173,8 +167,8 @@ class TestGreedyBeamEquivalence:
         say = _ScriptedSay(
             {(): [(c, 0.0)], ("go c",): [(a, 0.5), (b, 0.5 + 2**-53)]}
         )
-        spec = reset("hanoi", 0, "train")
-        config = DecodingConfig(score_mode="say", m=2, k=1, max_steps=2)
+        spec = replace(reset("hanoi", 0, "train"), max_steps=2)
+        config = DecodingConfig(score_mode="say", m=2, k=1)
         beam = beam_action(say, _noop, _noop, spec, config)
         greedy = reference_greedy_action(say, _noop, _noop, spec, config)
         assert [x.text for x in beam.plan] == ["go c", "go a"]
@@ -293,11 +287,10 @@ class TestExpandCandidates:
 class TestGreedyToken:
     def test_uniform_policy_repeats_the_heaviest_prefix(self):
         env = get_env("hanoi")
-        spec = reset("hanoi", 0, "train")
+        spec = replace(reset("hanoi", 0, "train"), max_steps=5)
         say = UniformSay(env, spec)
-        vocab = env.admissible_actions(spec)
-        config = DecodingConfig(strategy="greedy-token", max_steps=5)
-        result = run_strategy(spec, config, say, vocab=vocab)
+        config = DecodingConfig(strategy="greedy-token")
+        result = run_strategy(spec, config, say)
         # the nine move actions share the "move" prefix and outweigh done;
         # ties inside the prefix resolve lexicographically
         assert all(a.text == "move the blue disk in rod 1" for a in result.plan)
@@ -305,10 +298,12 @@ class TestGreedyToken:
         assert result.terminated_by == "step-limit"
 
     def test_missing_vocab_rejected(self):
+        # greedy-token reads the vocabulary and full distribution of its proposer
         spec = reset("hanoi", 0, "train")
         config = DecodingConfig(strategy="greedy-token")
-        with pytest.raises(ContractError):
-            run_strategy(spec, config, say=None, vocab=None)
+        for say in (None, PerfectSay(ReplayCache(get_env("hanoi"), spec))):
+            with pytest.raises(ContractError, match="greedy-token"):
+                run_strategy(spec, config, say)
 
 
 class TestRunStrategy:

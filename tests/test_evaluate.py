@@ -12,10 +12,11 @@ from saycanpay.evaluate import (
     BackendChoice,
     EpisodeResult,
     ModelStore,
+    _perfect_regressions,
+    ablate,
     cost_effectiveness,
     evaluate_episodes,
     execute_plan,
-    plan_episode,
     relative_length,
     render_table,
     run_cells,
@@ -35,7 +36,6 @@ def plan_of(actions):
 def fake_result(reached, plan_length, optimal_length):
     return EpisodeResult(
         episode_id="x",
-        config_fingerprint="f",
         plan=plan_of([]),
         executed_ok=reached,
         reached_goal=reached,
@@ -150,15 +150,6 @@ class TestEvaluateEpisodes:
             assert [x.text for x in a.plan.plan] == [x.text for x in b.plan.plan]
             assert a.reached_goal == b.reached_goal
 
-    def test_fingerprint_captures_the_configuration(self):
-        env = get_env("hanoi")
-        traj = bfs_plan(env, reset("hanoi", 0, "test"))
-        config = DecodingConfig(strategy="beam-action", score_mode="saycan", m=6, k=2)
-        result = plan_episode("hanoi", traj, ORACLE_BACKENDS, config)
-        assert result.config_fingerprint == (
-            "hanoi|beam-action|saycan|m=6,k=2|say=uniform,can=oracle,pay=oracle,seed=0"
-        )
-
 
 class TestModelStore:
     def test_load_returns_none_for_missing_file(self, tmp_path):
@@ -234,6 +225,54 @@ class TestRunCells:
         cell = report["cells"][0]
         assert "skipped" not in cell
         assert cell["backends"].startswith("say=trained")
+
+
+class TestAblate:
+    ENVS, SEEDS = ["hanoi", "blocks"], [0, 1]
+
+    def test_beam_size_cells_run_env_k_seed(self, tiny_data_dir, tmp_path):
+        report = ablate("beam-size", tiny_data_dir, tmp_path, self.ENVS, self.SEEDS)
+        assert all("skipped" in c for c in report["cells"])
+        assert [(c["env"], c["k"], c["seed"]) for c in report["cells"]] == [
+            (env, k, seed) for env in self.ENVS for k in (1, 2, 3) for seed in self.SEEDS
+        ]
+
+    def test_perfect_say_cells_run_env_score_say_seed(self, tiny_data_dir, tmp_path):
+        report = ablate("perfect-say", tiny_data_dir, tmp_path, self.ENVS, self.SEEDS)
+        # a trained Say misses its own model first, a perfect one the Can model
+        missing = {"trained": "say", "perfect-say": "can"}
+        got = [
+            (c["env"], c["score"], c["skipped"].rsplit("/", 1)[-1], c["seed"])
+            for c in report["cells"]
+        ]
+        assert got == [
+            (env, score, f"{env}_{missing[say]}_seed{seed}.json", seed)
+            for env in self.ENVS
+            for score in ("saycan", "saycanpay")
+            for say in ("trained", "perfect-say")
+            for seed in self.SEEDS
+        ]
+        assert report["perfect_below_trained"] == []
+
+    def test_unknown_ablation_rejected(self, tiny_data_dir, tmp_path):
+        with pytest.raises(ContractError):
+            ablate("dropout", tiny_data_dir, tmp_path, self.ENVS, self.SEEDS)
+
+
+def test_perfect_regressions_flag_only_a_perfect_proposer_below_the_trained():
+    def row(score, success):
+        return {"env": "hanoi", "score": score, "seed": 0, "success": success}
+
+    cells = [{"backends": {"say": say}} for say in ("trained", "perfect-say") * 3]
+    rows = [
+        row("saycan", 7), row("saycan", 5),        # flagged
+        row("saycanpay", 4), row("saycanpay", 4),  # a tie is not flagged
+        {"env": "hanoi", "score": "say", "seed": 0, "skipped": "missing"},
+        row("say", 0),                             # no trained partner
+    ]
+    assert _perfect_regressions(cells, rows) == [
+        {"env": "hanoi", "score": "saycan", "seed": 0, "trained": 7, "perfect": 5}
+    ]
 
 
 def test_render_table_alignment():
