@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -34,6 +35,43 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
+
+class Number:
+    """A numeric option's type and bound: `kind` within [low, high], with low
+    excluded when `low_open`, and finite. A flag's text and a config file's
+    value are held to the same rule."""
+
+    def __init__(self, kind: type, low: float, high: float = math.inf,
+                 low_open: bool = False):
+        self.kind, self.low, self.high, self.low_open = kind, low, high, low_open
+
+    def __str__(self) -> str:
+        if self.high < math.inf:
+            return (f"{self.kind.__name__} in {'(' if self.low_open else '['}"
+                    f"{self.low:g}, {self.high:g}]")
+        finite = " (finite)" if self.kind is float else ""
+        return f"{self.kind.__name__} {'>' if self.low_open else '>='} {self.low:g}{finite}"
+
+    def accepts(self, value) -> bool:
+        types = (int, float) if self.kind is float else int
+        if not isinstance(value, types) or isinstance(value, bool):
+            return False
+        above = value > self.low if self.low_open else value >= self.low
+        return math.isfinite(value) and above and value <= self.high
+
+    def __call__(self, text: str):
+        """The flag's value; argparse reports a bad one as a usage error."""
+        try:
+            value = self.kind(text)
+        except ValueError:
+            value = None
+        if not self.accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {self}, not {text!r}")
+        return value
+
+
+COUNT = Number(int, 1)
+
 # Every option: its built-in default and the argparse keywords that check a
 # flag; a config file's values are checked against the same entry.
 OPTIONS = {
@@ -41,23 +79,23 @@ OPTIONS = {
     "split": ("test", dict(choices=SPLITS)),
     "strategy": (DecodingConfig.strategy, dict(choices=STRATEGIES)),
     "score": (DecodingConfig.score_mode, dict(choices=SCORE_MODES)),
-    "m": (DecodingConfig.m, dict(type=int)),
-    "k": (DecodingConfig.k, dict(type=int)),
-    "delta": (DELTA, dict(type=float)),
-    "lr": (TrainConfig.lr, dict(type=float)),
-    "wd": (TrainConfig.weight_decay, dict(type=float)),
-    "batch": (TrainConfig.batch_size, dict(type=int)),
-    "epochs": (TrainConfig.epochs, dict(type=int)),
-    "seed": (0, dict(type=int)),
-    "jobs": (os.cpu_count() or 1, dict(type=int)),
+    "m": (DecodingConfig.m, dict(type=COUNT)),
+    "k": (DecodingConfig.k, dict(type=COUNT)),
+    "delta": (DELTA, dict(type=Number(float, 0, 1, low_open=True))),
+    "lr": (TrainConfig.lr, dict(type=Number(float, 0, low_open=True))),
+    "wd": (TrainConfig.weight_decay, dict(type=Number(float, 0))),
+    "batch": (TrainConfig.batch_size, dict(type=COUNT)),
+    "epochs": (TrainConfig.epochs, dict(type=COUNT)),
+    "seed": (0, dict(type=Number(int, 0))),
+    "jobs": (os.cpu_count() or 1, dict(type=COUNT)),
     "backend_say": ("trained", dict(choices=SAY_BACKENDS)),
     "backend_can": ("trained", dict(choices=CAN_BACKENDS)),
     "backend_pay": ("trained", dict(choices=PAY_BACKENDS)),
     "adapter_endpoint": (None, dict()),
     "out": (".", dict()),
-    "train": (400, dict(type=int)),
-    "test": (100, dict(type=int)),
-    "gen": (100, dict(type=int)),
+    "train": (400, dict(type=COUNT)),
+    "test": (100, dict(type=COUNT)),
+    "gen": (100, dict(type=COUNT)),
     "kind": ("all", dict(choices=(*MODEL_KINDS, "all"))),
     "data": (None, dict()),
     "models": ("models", dict()),
@@ -87,21 +125,22 @@ def _checked(config_path: str, key: str, value):
     """A config file's `value` for option `key`, checked as its flag would be;
     null is allowed only where the default is null."""
     default, checks = OPTIONS[key]
-    kind = checks.get("type", str)
+    number = checks.get("type")
     if value is None:
         ok = default is None
     elif "choices" in checks:
         ok = value in checks["choices"]
+    elif number is not None:
+        ok = number.accepts(value)
     else:
-        types = (int, float) if kind is float else kind
-        ok = isinstance(value, types) and not isinstance(value, bool)
+        ok = isinstance(value, str)
     if not ok:
         choices = checks.get("choices")
-        expected = f"one of {', '.join(choices)}" if choices else kind.__name__
+        expected = f"one of {', '.join(choices)}" if choices else (number or "str")
         raise ContractError(
             f"config {config_path}: {key!r} must be {expected}, not {value!r}"
         )
-    return float(value) if kind is float else value
+    return float(value) if number is not None and number.kind is float else value
 
 
 def _resolve(args: argparse.Namespace, **defaults) -> dict:

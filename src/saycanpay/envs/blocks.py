@@ -152,21 +152,35 @@ class BlocksEnv(Environment):
         return None
 
     def relevant_moves(self, goal, moves) -> list[ActionInstance]:
-        """The puts of a goal-colour block into a goal-colour bowl.
+        """The puts of a goal-colour block into the first goal-colour bowl in
+        action order (`[]` when the moves hold no such put).
 
-        This is exact. Placements are permanent, so any other put is a wasted
-        step (a block the goal ignores) or a dead end (a goal block in a bowl
-        of another colour), and no shortest plan takes one. Every predecessor
-        of a state reached by kept puts is reached by kept puts, so the kept
-        states are discovered from kept states in the same BFS order, and the
-        first shortest plan from any start state is unchanged.
+        This is exact: breadth_first_plan returns the same plan (or None)
+        from every start state as it does over all moves.
+        - Placements are permanent, so a put of a block the goal ignores is a
+          wasted step and a goal block in a bowl of another colour is a dead
+          end; no shortest plan takes either.
+        - Bowls have no capacity and any goal-colour bowl satisfies the goal,
+          so the goal-colour bowls are interchangeable. The BFS returns the
+          lexicographically first shortest plan, and at every step its first
+          relevant put is `put <first unplaced goal block> in <first goal
+          bowl>`, which starts a shortest plan.
+        - A start state with a goal block in a bowl of another colour is a
+          dead end under either rule, and plan lengths are equal, so the
+          `max_steps` cap cuts off the same searches.
+        The search from g unplaced goal blocks thus visits at most 2^g states
+        instead of (b+1)^g over b goal-colour bowls.
         """
         _, block_color, bowl_color = goal.predicate
-        return [
+        kept = [
             a for a in moves
             if a.op[1].startswith(f"{block_color} block")
             and a.op[2].startswith(f"{bowl_color} bowl")
         ]
+        if not kept:
+            return []
+        first_bowl = min(a.op[2] for a in kept)
+        return [a for a in kept if a.op[2] == first_bowl]
 
     def _apply(self, state: BlocksState, action: ActionInstance) -> BlocksState:
         placements = tuple(

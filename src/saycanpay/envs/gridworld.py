@@ -22,12 +22,15 @@ from .base import (
 COLORS = ("yellow", "purple", "red", "green", "blue", "grey")
 GOAL_KINDS = ("ball", "box")
 CARRIED = -1
+VOID = -2  # a dropped object's location: no room, so never rendered or reached
 DONE_TEXT = "done picking up"
 
 
 @dataclass(frozen=True)
 class GridState(SymbolicState):
-    """Chain of rooms with doors, objects (room index or carried), and the agent."""
+    """Chain of rooms with doors, objects (room index, carried or void), and
+    the agent. A dropped object stays at VOID, so every state holds the
+    episode's object set and a pickup of any other object is foreign."""
 
     n_rooms: int
     doors: tuple[tuple[str, bool], ...]  # (color, locked), door i joins rooms i, i+1
@@ -146,18 +149,22 @@ class GridworldEnv(Environment):
         op = action.op[0]
         if op == "pickup":
             color, kind = action.op[1], action.op[2]
+            loc = next(
+                (loc for c, k, loc in state.objects if (c, k) == (color, kind)), None
+            )
+            if loc is None:
+                raise ContractError(f"foreign action {action.text!r}")
             if state.carried is not None:
                 return "the agent's hand is not empty"
-            reachable = state.reachable_rooms()
-            for c, k, loc in state.objects:
-                if (c, k) == (color, kind):
-                    if loc in reachable:
-                        return None
-                    return f"{color} {kind} is not in a reachable room"
-            # vocabulary objects can be destroyed by an earlier drop
-            return f"there is no {color} {kind} left"
+            if loc == VOID:
+                return f"there is no {color} {kind} left"
+            if loc not in state.reachable_rooms():
+                return f"{color} {kind} is not in a reachable room"
+            return None
         if op == "toggle":
             color = action.op[1]
+            if all(c != color for c, _ in state.doors):
+                raise ContractError(f"foreign action {action.text!r}")
             if state.carried != (color, "key"):
                 return f"the agent is not holding the {color} key"
             reachable = state.reachable_rooms()
@@ -203,9 +210,10 @@ class GridworldEnv(Environment):
                 objects=state.objects,
                 agent_room=state.agent_room,
             )
-        # drop: the held object is discarded permanently
+        # drop: the held object goes to the void for good
         objects = tuple(
-            sorted((c, k, loc) for c, k, loc in state.objects if loc != CARRIED)
+            sorted((c, k, VOID if loc == CARRIED else loc)
+                   for c, k, loc in state.objects)
         )
         return GridState(
             n_rooms=state.n_rooms,

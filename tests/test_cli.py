@@ -102,8 +102,11 @@ class TestConfigPrecedence:
             ("{not json", "is not JSON"),
             ('{"seed": "0"}', "'seed' must be int"),
             ('{"env": "chess"}', "'env' must be one of"),
+            ('{"gen": 0}', "'gen' must be int >= 1"),
+            ('{"lr": NaN}', "'lr' must be float > 0"),
         ],
-        ids=["not-an-object", "unknown-key", "not-json", "wrong-type", "bad-choice"],
+        ids=["not-an-object", "unknown-key", "not-json", "wrong-type", "bad-choice",
+             "out-of-bounds", "nan"],
     )
     def test_bad_config_file_returns_one(self, tmp_path, text, named):
         config = tmp_path / "conf.json"
@@ -250,6 +253,37 @@ class TestExitCodes:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.count("error:") == 1 and "jobs" in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("eval", ["--jobs", "0", "--models", "nomodels"]),
+            ("gen-data", ["--gen", "0"]),
+            ("gen-data", ["--seed", "-1"]),
+            ("train", ["--epochs", "0"]),
+            ("train", ["--lr", "nan"]),
+            ("train", ["--wd", "inf"]),
+            ("train", ["--batch", "1.5"]),
+            ("plan", ["--delta", "0"]),
+            ("eval", ["--k", "0"]),
+        ],
+    )
+    def test_an_option_out_of_bounds_returns_one_before_any_write(
+        self, tiny_data_dir, tmp_path, command, flags
+    ):
+        """Each numeric option's bound is checked before any work or write."""
+        out = tmp_path / "out"
+        paths = {
+            "gen-data": ["--data", str(out)],
+            "train": ["--data", str(tiny_data_dir), "--models", str(out)],
+            "plan": ["--data", str(tiny_data_dir), "--models", str(out)],
+            "eval": ["--data", str(tiny_data_dir), "--out", str(out)],
+        }[command]
+        proc = run_cli(command, "--env", "hanoi", *paths, *flags)
+        assert proc.returncode == 1, proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and flags[0] in errors[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "content, named",

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from saycanpay.core import ActionInstance, ContractError, InfeasibleActionError
 from saycanpay.envs import ENV_IDS, SPLITS, breadth_first_plan, get_env, reset
-from saycanpay.envs.gridworld import CARRIED
+from saycanpay.envs.gridworld import CARRIED, VOID
 from saycanpay.envs.hanoi import DISK_COLORS, HanoiState
 
 
@@ -285,9 +285,12 @@ class TestGridworld:
             drop = env.action_from_text(spec, "drop key in void")
             state = env.step(state, spec.goal, pick)
             state = env.step(state, spec.goal, drop)
-            assert all((c, k) != key for c, k, _ in state.objects)
+            assert (*key, VOID) in state.objects
+            assert f"{key[0]} key" not in env.render_observation(state)
             # picking the destroyed object up again is infeasible, not foreign
-            assert not env.precondition_holds(state, spec.goal, pick)
+            assert env.violation(state, spec.goal, pick) == (
+                f"there is no {key[0]} key left"
+            )
             return
         pytest.fail("no episode with a reachable key found")
 
@@ -314,7 +317,8 @@ def _check_invariants(env_id, init, state):
         assert [c for c, _ in state.doors] == [c for c, _ in init.doors]
         assert 0 <= state.agent_room < state.n_rooms
         assert sum(loc == CARRIED for *_, loc in state.objects) <= 1
-        assert all(loc == CARRIED or 0 <= loc < state.n_rooms
+        assert [o[:2] for o in state.objects] == [o[:2] for o in init.objects]
+        assert all(loc in (CARRIED, VOID) or 0 <= loc < state.n_rooms
                    for *_, loc in state.objects)
 
 
@@ -332,10 +336,11 @@ def _check_transition(env_id, before, action, after):
         assert added == {(action.op[1], action.op[2])}
         assert set(before.placements) <= set(after.placements)
     else:
-        # doors only ever unlock, and objects only ever disappear
+        # doors only ever unlock, and objects only ever go to the void
         assert all(not locked or was for (_, locked), (_, was)
                    in zip(after.doors, before.doors))
-        assert {o[:2] for o in after.objects} <= {o[:2] for o in before.objects}
+        assert all(was != VOID or loc == VOID for (*_, loc), (*_, was)
+                   in zip(after.objects, before.objects))
 
 
 def _random_walk(env_id, seed, split, choices):
@@ -435,21 +440,21 @@ def test_foreign_actions_raise_from_precondition_holds_and_step(
     env_id, seed, split, other, pick
 ):
     """An action from another episode's vocabulary (of any env) raises
-    ContractError from `step` exactly when it does from `precondition_holds`;
-    otherwise `step` raises InfeasibleActionError exactly when the
-    precondition fails."""
+    ContractError from `precondition_holds` and from `step` exactly when it is
+    a move outside this episode's vocabulary; otherwise `step` raises
+    InfeasibleActionError exactly when the precondition fails."""
     env = get_env(env_id)
     spec = reset(env_id, seed, split)
     foreign_vocab = get_env(other[0]).admissible_actions(reset(*other))
     action = foreign_vocab[pick % len(foreign_vocab)]
+    own = {a.text for a in env.admissible_actions(spec)}
     state = spec.init_state
-    try:
-        holds = env.precondition_holds(state, spec.goal, action)
-    except ContractError:
+    if not action.is_done and action.text not in own:
+        with pytest.raises(ContractError):
+            env.precondition_holds(state, spec.goal, action)
         with pytest.raises(ContractError):
             env.step(state, spec.goal, action)
-        return
-    if holds:
+    elif env.precondition_holds(state, spec.goal, action):
         env.step(state, spec.goal, action)
     else:
         with pytest.raises(InfeasibleActionError):
@@ -464,11 +469,13 @@ def test_foreign_actions_raise_from_precondition_holds_and_step(
         ("gridworld", 0, "train", ("blocks", 0, "train")),
         ("hanoi", 0, "train", ActionInstance.from_text(
             "move the blue disk in rod 4", op=("move", "blue", "4"))),
+        ("gridworld", 0, "train", ("gridworld", 5, "train")),
     ],
 )
 def test_a_foreign_action_raises_contract_error(env_id, seed, split, other):
     """Foreign actions (another episode's moves, or a rod the env lacks) raise
-    ContractError from every entry point: precondition_holds and step."""
+    ContractError from every entry point: precondition_holds and step. In
+    gridworld they include a pickup of an object the episode lacks."""
     env = get_env(env_id)
     spec = reset(env_id, seed, split)
     if isinstance(other, ActionInstance):

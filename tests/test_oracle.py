@@ -9,6 +9,7 @@ from conftest import reference_breadth_first_plan
 from saycanpay import oracle as oracle_module
 from saycanpay.core import History, UnsolvableError
 from saycanpay.envs import ENV_IDS, SPLITS, breadth_first_plan, get_env, reset
+from saycanpay.envs.blocks import BlocksEnv
 from saycanpay.envs.hanoi import HanoiState
 from saycanpay.oracle import (
     DELTA,
@@ -193,6 +194,76 @@ def test_bfs_matches_the_per_action_reference(env_id, seed, split, walk, max_ste
     assert breadth_first_plan(env, spec, start_state=state) == (
         reference_breadth_first_plan(env, spec, start_state=state)
     )
+
+
+def _blocks_episodes(seeds=range(200)):
+    """Blocks train episodes with their sorted goal blocks and goal-colour
+    bowls."""
+    for seed in seeds:
+        spec = reset("blocks", seed, "train")
+        _, block_color, bowl_color = spec.goal.predicate
+        state = spec.init_state
+        blocks = sorted(b for b in state.blocks if b.startswith(f"{block_color} block"))
+        bowls = sorted(b for b in state.bowls if b.startswith(f"{bowl_color} bowl"))
+        yield spec, blocks, bowls
+
+
+def _interchangeable_bowls_episode():
+    """A blocks episode with two goal blocks or more and two goal-colour bowls
+    or more."""
+    for spec, blocks, bowls in _blocks_episodes():
+        if len(blocks) >= 2 and len(bowls) >= 2:
+            return get_env("blocks"), spec, blocks, bowls
+    pytest.fail("no episode with two goal blocks and two goal bowls found")
+
+
+def test_a_goal_block_in_the_second_goal_bowl_keeps_the_reference_plan():
+    env, spec, blocks, bowls = _interchangeable_bowls_episode()
+    put = env.action_from_text(spec, f"put {blocks[0]} in {bowls[1]}")
+    state = env.step(spec.init_state, spec.goal, put)
+    plan = breadth_first_plan(env, spec, start_state=state)
+    assert plan == reference_breadth_first_plan(env, spec, start_state=state)
+    assert len(plan) == len(blocks)  # the other goal blocks, then done
+
+
+def test_a_goal_block_in_a_wrong_colour_bowl_has_no_plan():
+    env, spec, dead = _dead_blocks_state()
+    assert breadth_first_plan(env, spec, start_state=dead) is None
+    assert reference_breadth_first_plan(env, spec, start_state=dead) is None
+
+
+def test_a_step_budget_one_below_the_plan_length_has_no_plan():
+    env, spec, blocks, _ = _interchangeable_bowls_episode()
+    assert len(breadth_first_plan(env, spec)) == len(blocks) + 1
+    capped = replace(spec, max_steps=len(blocks))
+    assert breadth_first_plan(env, capped) is None
+    assert reference_breadth_first_plan(env, capped) is None
+
+
+class _CountingBlocks(BlocksEnv):
+    def __init__(self):
+        super().__init__()
+        self.applied = 0
+
+    def _apply(self, state, action):
+        self.applied += 1
+        return super()._apply(state, action)
+
+
+def test_the_blocks_search_applies_at_most_g_times_2_to_the_g_minus_1_moves():
+    """From g unplaced goal blocks the BFS searches the subsets of them put in
+    one goal bowl, so it applies at most g * 2^(g-1) moves; searching every
+    goal-colour bowl applies more wherever g and the bowl count are both 2 or
+    more."""
+    env = _CountingBlocks()
+    interchangeable = 0
+    for spec, blocks, bowls in _blocks_episodes(range(60)):
+        g = len(blocks)
+        interchangeable += g >= 2 and len(bowls) >= 2
+        env.applied = 0
+        assert breadth_first_plan(env, spec) is not None
+        assert env.applied <= g * 2 ** (g - 1), spec.episode_id
+    assert interchangeable > 0
 
 
 def _dead_blocks_state():
