@@ -51,19 +51,27 @@ class UniformSay:
 
 
 class TrainedSay:
-    """Top-m proposals from a trained softmax policy."""
+    """Top-m proposals from a trained softmax policy; each distribution is
+    kept, read-only, in the episode's score `table` under (scorer, history)."""
 
-    def __init__(self, env: Environment, spec: EpisodeSpec, policy: SayPolicy):
+    def __init__(self, env: Environment, spec: EpisodeSpec, policy: SayPolicy,
+                 table: dict | None = None):
         policy.scorer.check_env(spec.env_id)
         self.vocab = env.admissible_actions(spec)
         self.goal = spec.goal
         self.policy = policy
+        self.table = {} if table is None else table
 
     def propose(self, history: History, m: int) -> list[tuple[ActionInstance, float]]:
-        return say_top_m(self.policy, history, self.goal, self.vocab, m)
+        return say_top_m(self.action_probs(history), self.vocab, m)
 
     def action_probs(self, history: History) -> np.ndarray:
-        return self.policy.action_probs(history, self.goal, self.vocab)
+        key = (self.policy.scorer, history)
+        if key not in self.table:
+            probs = self.policy.action_probs(history, self.goal, self.vocab)
+            probs.flags.writeable = False
+            self.table[key] = probs
+        return self.table[key]
 
 
 class PerfectSay:
@@ -101,15 +109,21 @@ class ExternalSay:
 
 
 class TrainedCan:
-    """Trained Can (or Pay): one `featurize` and `logits` call per candidate list."""
+    """Trained Can (or Pay): one `featurize` and `logits` call per candidate
+    list, kept in the episode's score `table` under (model, history,
+    candidates)."""
 
-    def __init__(self, spec: EpisodeSpec, model: LinearScorer):
+    def __init__(self, spec: EpisodeSpec, model: LinearScorer, table: dict | None = None):
         model.check_env(spec.env_id)
         self.goal = spec.goal
         self.model = model
+        self.table = {} if table is None else table
 
-    def __call__(self, history: History, actions: list[ActionInstance]) -> list[float]:
-        return self.model.score(self.goal, history, actions)
+    def __call__(self, history: History, actions: list[ActionInstance]) -> tuple[float, ...]:
+        key = (self.model, history, tuple(actions))
+        if key not in self.table:
+            self.table[key] = tuple(self.model.score(self.goal, history, actions))
+        return self.table[key]
 
 
 class TrainedPay(TrainedCan):
@@ -123,9 +137,11 @@ def _stable_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def episode_backends(choice: BackendChoice, env: Environment, spec: EpisodeSpec):
+def episode_backends(
+    choice: BackendChoice, env: Environment, spec: EpisodeSpec, table: dict | None = None
+):
     """The (say, can, pay) scorers for one episode; the oracle roles share
-    one ReplayCache."""
+    one ReplayCache, and the trained roles the episode's score `table`."""
     for role, names in (
         ("say", SAY_BACKENDS), ("can", CAN_BACKENDS), ("pay", PAY_BACKENDS)
     ):
@@ -139,7 +155,7 @@ def episode_backends(choice: BackendChoice, env: Environment, spec: EpisodeSpec)
     elif choice.say == "trained":
         if choice.say_policy is None:
             raise ContractError("trained say backend needs a policy")
-        say = TrainedSay(env, spec, choice.say_policy)
+        say = TrainedSay(env, spec, choice.say_policy, table)
     else:
         if choice.endpoint is None:
             raise ContractError("external say backend needs an endpoint")
@@ -149,11 +165,11 @@ def episode_backends(choice: BackendChoice, env: Environment, spec: EpisodeSpec)
     elif choice.can_model is None:
         raise ContractError("trained can backend needs a model")
     else:
-        can = TrainedCan(spec, choice.can_model)
+        can = TrainedCan(spec, choice.can_model, table)
     if choice.pay == "oracle":
         pay = OraclePay(oracle, choice.delta)
     elif choice.pay_model is None:
         raise ContractError("trained pay backend needs a model")
     else:
-        pay = TrainedPay(spec, choice.pay_model)
+        pay = TrainedPay(spec, choice.pay_model, table)
     return say, can, pay

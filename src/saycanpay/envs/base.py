@@ -43,6 +43,7 @@ class Environment(ABC):
     """
 
     env_id: str = ""
+    done_text: str = ""  # the text of the env's one done action
 
     def __init__(self):
         self._vocab_cache: dict = {}
@@ -78,8 +79,11 @@ class Environment(ABC):
         self, state: SymbolicState, goal: GoalSpec, action: ActionInstance
     ) -> str | None:
         """The precondition `action` violates in `state`, or None when it
-        holds: done needs the goal, a move the env's own rule."""
+        holds: done needs the goal, a move the env's own rule. Another env's
+        done action is foreign and raises ContractError."""
         if action.is_done:
+            if action.text != self.done_text:
+                raise ContractError(f"{action.text!r} is not {self.env_id}'s done action")
             return None if self.is_goal(state, goal) else "goal not reached"
         return self._move_violation(state, action)
 

@@ -12,7 +12,6 @@ from .base import DEFAULT_MAX_STEPS, Environment, EpisodeSpec, SymbolicState
 
 COLORS = ("yellow", "gray", "blue", "red", "green", "orange")
 HELD_OUT_COLORS = ("purple", "brown")
-DONE_TEXT = "done placing blocks"
 
 
 class _Entities(NamedTuple):
@@ -75,6 +74,7 @@ class BlocksState(SymbolicState):
 
 class BlocksEnv(Environment):
     env_id = "blocks"
+    done_text = "done placing blocks"
 
     def sample_episode(self, seed: int, split: str) -> EpisodeSpec:
         self.check_seed_split(seed, split)
@@ -140,7 +140,7 @@ class BlocksEnv(Environment):
             for block in state.blocks
             for bowl in state.bowls
         ]
-        actions.append(ActionInstance.from_text(DONE_TEXT, op=("done",), is_done=True))
+        actions.append(ActionInstance.from_text(self.done_text, op=("done",), is_done=True))
         return actions
 
     def _move_violation(self, state: BlocksState, action: ActionInstance) -> str | None:

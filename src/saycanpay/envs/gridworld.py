@@ -23,7 +23,6 @@ COLORS = ("yellow", "purple", "red", "green", "blue", "grey")
 GOAL_KINDS = ("ball", "box")
 CARRIED = -1
 VOID = -2  # a dropped object's location: no room, so never rendered or reached
-DONE_TEXT = "done picking up"
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,7 @@ class GridState(SymbolicState):
 
 class GridworldEnv(Environment):
     env_id = "gridworld"
+    done_text = "done picking up"
 
     def sample_episode(self, seed: int, split: str) -> EpisodeSpec:
         self.check_seed_split(seed, split)
@@ -142,7 +142,7 @@ class GridworldEnv(Environment):
                 ActionInstance.from_text(f"toggle {color} door", op=("toggle", color))
             )
         actions.append(ActionInstance.from_text("drop key in void", op=("drop",)))
-        actions.append(ActionInstance.from_text(DONE_TEXT, op=("done",), is_done=True))
+        actions.append(ActionInstance.from_text(self.done_text, op=("done",), is_done=True))
         return actions
 
     def _move_violation(self, state: GridState, action: ActionInstance) -> str | None:

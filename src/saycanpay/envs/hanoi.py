@@ -11,7 +11,6 @@ from .base import DEFAULT_MAX_STEPS, Environment, EpisodeSpec, SymbolicState
 DISK_COLORS = ("blue", "gray", "green", "red")  # smallest first
 N_RODS = 3
 ROD_NAMES = tuple(str(r + 1) for r in range(N_RODS))
-DONE_TEXT = "done moving disks"
 
 
 @dataclass(frozen=True)
@@ -30,6 +29,7 @@ def _rod_of(state: HanoiState, disk: int) -> int:
 
 class HanoiEnv(Environment):
     env_id = "hanoi"
+    done_text = "done moving disks"
 
     def sample_episode(self, seed: int, split: str) -> EpisodeSpec:
         self.check_seed_split(seed, split)
@@ -70,7 +70,7 @@ class HanoiEnv(Environment):
             for d in range(n_disks)
             for r in range(N_RODS)
         ]
-        actions.append(ActionInstance.from_text(DONE_TEXT, op=("done",), is_done=True))
+        actions.append(ActionInstance.from_text(self.done_text, op=("done",), is_done=True))
         return actions
 
     def _move_violation(self, state: HanoiState, action: ActionInstance) -> str | None:

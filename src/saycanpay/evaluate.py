@@ -74,13 +74,15 @@ def relative_length(result: EpisodeResult) -> float:
 
 
 def plan_episode(
-    env_id: str, traj: Trajectory, backends: BackendChoice, config: DecodingConfig
+    env_id: str, traj: Trajectory, backends: BackendChoice, config: DecodingConfig,
+    table: dict | None = None,
 ) -> EpisodeResult:
-    """Plan one episode with fresh per-episode backends, then execute."""
+    """Plan one episode with fresh per-episode backends, then execute;
+    `table` is the episode's score table, shared by the cells that plan it."""
     env = get_env(env_id)
     spec = traj.episode
     started = time.perf_counter()
-    say, can, pay = episode_backends(backends, env, spec)
+    say, can, pay = episode_backends(backends, env, spec, table)
     plan = run_strategy(spec, config, say, can, pay)
     return execute_plan(
         env, spec, plan, optimal_length=len(traj.actions),
@@ -88,39 +90,56 @@ def plan_episode(
     )
 
 
+Cell = tuple[BackendChoice, DecodingConfig]
+_CHUNKS_PER_WORKER = 4  # several chunks each, so uneven episodes still balance
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(env_id, trajectories, backends, config):
-    _WORKER_STATE.update(
-        env_id=env_id, trajectories=trajectories, backends=backends, config=config
-    )
+def _plan_under_cells(
+    env_id: str, traj: Trajectory, cells: list[Cell]
+) -> list[EpisodeResult]:
+    """One episode planned under every cell in order, with one score table
+    that is dropped after the last cell."""
+    table: dict = {}
+    return [plan_episode(env_id, traj, b, c, table) for b, c in cells]
 
 
-def _run_indexed(index: int) -> EpisodeResult:
+def _init_worker(env_id, trajectories, cells):
+    _WORKER_STATE.update(env_id=env_id, trajectories=trajectories, cells=cells)
+
+
+def _plan_chunk(start: int, stop: int) -> list[list[EpisodeResult]]:
     s = _WORKER_STATE
-    return plan_episode(s["env_id"], s["trajectories"][index], s["backends"], s["config"])
+    chunk = s["trajectories"][start:stop]
+    return [_plan_under_cells(s["env_id"], t, s["cells"]) for t in chunk]
 
 
 def evaluate_episodes(
     env_id: str,
     trajectories: list[Trajectory],
-    backends: BackendChoice,
-    config: DecodingConfig,
+    cells: list[Cell],
     jobs: int = 1,
 ) -> list[EpisodeResult]:
-    """Evaluate every episode in `jobs` processes; results are ordered by
-    input position regardless of jobs."""
+    """Plan each episode under every (backends, config) cell in turn, so the
+    cells share its score table. At jobs > 1 one pool serves all cells; each
+    worker gets the inputs once, then plans contiguous chunks of episodes.
+    Results are ordered cell by cell, then by input position."""
     if jobs < 1:
         raise ContractError(f"jobs must be >= 1, not {jobs}")
-    if jobs == 1:
-        return [plan_episode(env_id, t, backends, config) for t in trajectories]
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_init_worker,
-        initargs=(env_id, trajectories, backends, config),
-    ) as pool:
-        return list(pool.map(_run_indexed, range(len(trajectories))))
+    n = len(trajectories)
+    if jobs == 1 or n == 0:
+        rows = [_plan_under_cells(env_id, t, cells) for t in trajectories]
+    else:
+        size = -(-n // (jobs * _CHUNKS_PER_WORKER))
+        starts = range(0, n, size)
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(jobs, len(starts)),
+            initializer=_init_worker,
+            initargs=(env_id, trajectories, cells),
+        ) as pool:
+            chunks = pool.map(_plan_chunk, starts, [s + size for s in starts])
+            rows = [row for chunk in chunks for row in chunk]
+    return [row[i] for i in range(len(cells)) for row in rows]
 
 
 def summarize(results: list[EpisodeResult]) -> dict:
@@ -206,17 +225,17 @@ def run_cells(
 ) -> dict:
     """Evaluate a list of cell descriptors and assemble the report."""
     store = ModelStore(model_dir) if model_dir else None
-    traj_cache: dict = {}
+    groups: dict = {}  # (env, split) -> (trajectories, [(row, backends, config)])
     out_cells = []
     max_steps = None
     for cell in cells:
         env_id, split = cell["env"], cell["split"]
         key = (env_id, split)
-        if key not in traj_cache:
-            traj_cache[key] = read_trajectories(
+        if key not in groups:
+            groups[key] = (read_trajectories(
                 get_env(env_id), split_path(Path(data_dir), env_id, split)
-            )
-        trajectories = traj_cache[key]
+            ), [])
+        trajectories, runnable = groups[key]
         max_steps = trajectories[0].episode.max_steps
         row = {
             "env": env_id,
@@ -226,13 +245,13 @@ def run_cells(
             "seed": cell["seed"],
             "k": cell["k"],
         }
+        out_cells.append(row)
         try:
             backends = build_backends(
                 store, env_id, cell["backends"], cell["seed"], endpoint, delta
             )
         except FileNotFoundError as exc:
             row["skipped"] = f"missing model file {exc}"
-            out_cells.append(row)
             continue
         config = DecodingConfig(
             strategy=cell["strategy"],
@@ -240,10 +259,17 @@ def run_cells(
             m=cell["m"],
             k=cell["k"],
         )
-        results = evaluate_episodes(env_id, trajectories, backends, config, jobs)
-        row.update(summarize(results))
-        row["backends"] = backends.fingerprint()
-        out_cells.append(row)
+        runnable.append((row, backends, config))
+    for (env_id, _), (trajectories, runnable) in groups.items():
+        if not runnable:
+            continue
+        results = evaluate_episodes(
+            env_id, trajectories, [(b, c) for _, b, c in runnable], jobs=jobs
+        )
+        n = len(trajectories)
+        for i, (row, backends, _) in enumerate(runnable):
+            row.update(summarize(results[i * n:(i + 1) * n]))
+            row["backends"] = backends.fingerprint()
     report = {"max_steps": max_steps, "cells": out_cells}
     report["table"] = render_table(out_cells)
     return report

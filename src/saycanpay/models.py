@@ -207,20 +207,16 @@ class SayPolicy:
 
 
 def say_top_m(
-    policy: SayPolicy,
-    history: History,
-    goal: GoalSpec,
-    vocab: list[ActionInstance],
-    m: int,
+    probs: np.ndarray, vocab: list[ActionInstance], m: int
 ) -> list[tuple[ActionInstance, float]]:
-    """The m most probable vocabulary actions with exact softmax masses; an
-    m above the vocabulary size is clamped to it, as every proposer does."""
+    """The m most probable vocabulary actions under a policy's distribution
+    `probs` over `vocab`, with exact softmax masses; an m above the
+    vocabulary size is clamped to it, as every proposer does."""
     if m < 1:
         raise ContractError("m must be >= 1")
     if not vocab:
         raise ContractError("vocab must be non-empty")
     m = min(m, len(vocab))
-    probs = policy.action_probs(history, goal, vocab)
     order = sorted(range(len(vocab)), key=lambda i: (-probs[i], vocab[i].text))
     return [(vocab[i], float(probs[i])) for i in order[:m]]
 

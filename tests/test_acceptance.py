@@ -121,7 +121,7 @@ def test_criterion_01_oracle_stack_solves_hanoi_optimally(full_data_dir):
         strategy="beam-action", score_mode="saycanpay", m=vocab_size, k=3
     )
     started = time.monotonic()
-    results = evaluate_episodes("hanoi", trajectories, backends, config)
+    results = evaluate_episodes("hanoi", trajectories, [(backends, config)])
     elapsed = time.monotonic() - started
     solved = summarize(results)["success"]
     optimal = sum(

@@ -440,16 +440,17 @@ def test_foreign_actions_raise_from_precondition_holds_and_step(
     env_id, seed, split, other, pick
 ):
     """An action from another episode's vocabulary (of any env) raises
-    ContractError from `precondition_holds` and from `step` exactly when it is
-    a move outside this episode's vocabulary; otherwise `step` raises
-    InfeasibleActionError exactly when the precondition fails."""
+    ContractError from `precondition_holds` and from `step` exactly when its
+    text is outside this episode's vocabulary (another env's done action
+    included); otherwise `step` raises InfeasibleActionError exactly when the
+    precondition fails."""
     env = get_env(env_id)
     spec = reset(env_id, seed, split)
     foreign_vocab = get_env(other[0]).admissible_actions(reset(*other))
     action = foreign_vocab[pick % len(foreign_vocab)]
     own = {a.text for a in env.admissible_actions(spec)}
     state = spec.init_state
-    if not action.is_done and action.text not in own:
+    if action.text not in own:
         with pytest.raises(ContractError):
             env.precondition_holds(state, spec.goal, action)
         with pytest.raises(ContractError):

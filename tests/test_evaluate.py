@@ -1,30 +1,35 @@
 """Plan execution, metrics, the evaluation grid, and report determinism."""
 
+import concurrent.futures
 import json
 
 import pytest
 
-from saycanpay.backends import episode_backends
+from saycanpay import evaluate
+from saycanpay.backends import TrainedSay, episode_backends
 from saycanpay.core import ContractError, ModelFileError
 from saycanpay.decoding import DecodingConfig, PlanResult
 from saycanpay.envs import get_env, reset
+from saycanpay.data import read_trajectories, split_path
 from saycanpay.evaluate import (
     BackendChoice,
     EpisodeResult,
     ModelStore,
     _perfect_regressions,
     ablate,
+    build_backends,
     cost_effectiveness,
     evaluate_episodes,
     execute_plan,
     relative_length,
     render_table,
     run_cells,
+    run_matrix,
     summarize,
     write_report,
 )
-from saycanpay.models import LinearScorer
-from saycanpay.oracle import bfs_plan
+from saycanpay.models import LinearScorer, SayPolicy
+from saycanpay.oracle import DELTA, bfs_plan
 
 
 def plan_of(actions):
@@ -143,12 +148,49 @@ class TestEvaluateEpisodes:
         env = get_env("hanoi")
         trajectories = [bfs_plan(env, reset("hanoi", s, "test")) for s in range(4)]
         config = DecodingConfig(strategy="greedy-action", score_mode="saycanpay")
-        serial = evaluate_episodes("hanoi", trajectories, ORACLE_BACKENDS, config, 1)
-        parallel = evaluate_episodes("hanoi", trajectories, ORACLE_BACKENDS, config, 2)
+        cells = [(ORACLE_BACKENDS, config)]
+        serial = evaluate_episodes("hanoi", trajectories, cells, jobs=1)
+        parallel = evaluate_episodes("hanoi", trajectories, cells, jobs=2)
         assert [r.episode_id for r in serial] == [r.episode_id for r in parallel]
         for a, b in zip(serial, parallel):
             assert [x.text for x in a.plan.plan] == [x.text for x in b.plan.plan]
             assert a.reached_goal == b.reached_goal
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_all_cells_in_one_call_match_one_call_per_cell(
+        self, jobs, tiny_data_dir, tiny_model_dir
+    ):
+        trajectories = read_trajectories(
+            get_env("hanoi"), split_path(tiny_data_dir, "hanoi", "test")
+        )
+        pairs = [(t.episode.goal, t.episode.init_obs) for t in trajectories]
+        assert len(set(pairs)) < len(pairs)  # some episodes repeat another's
+
+        store = ModelStore(tiny_model_dir)
+
+        def backends(say, can="trained", pay="trained"):
+            names = {"say": say, "can": can, "pay": pay}
+            return build_backends(store, "hanoi", names, 0, None, DELTA)
+
+        trained = backends("trained")
+        cells = [
+            (backends("uniform", "oracle", "oracle"),
+             DecodingConfig(strategy="greedy-action", score_mode="saycanpay")),
+            (backends("perfect-say", "oracle", "oracle"),
+             DecodingConfig(strategy="beam-action", score_mode="saycanpay", k=2)),
+            *[(trained, DecodingConfig(strategy="greedy-action", score_mode=score))
+              for score in ("say", "saycan", "saycanpay")],
+            (trained, DecodingConfig(strategy="beam-action", score_mode="saycanpay")),
+            (trained, DecodingConfig(strategy="greedy-token", score_mode="say")),
+        ]
+
+        def outcome(results):
+            return [(r.episode_id, r.plan, r.executed_ok, r.reached_goal) for r in results]
+
+        per_cell = [r for cell in cells
+                    for r in evaluate_episodes("hanoi", trajectories, [cell], jobs=1)]
+        together = evaluate_episodes("hanoi", trajectories, cells, jobs=jobs)
+        assert outcome(together) == outcome(per_cell)
 
 
 class TestModelStore:
@@ -215,6 +257,57 @@ class TestRunCells:
         assert a_path.read_bytes() == b_path.read_bytes()
         payload = json.loads(a_path.read_text())
         assert set(payload) == {"max_steps", "cells", "table"}
+
+    def test_a_grid_at_jobs_2_starts_one_pool(self, tiny_data_dir, monkeypatch):
+        started = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        oracle = {"say": "uniform", "can": "oracle", "pay": "oracle"}
+        cells = self._cells(oracle) + [
+            dict(cell, strategy="beam-action", k=2) for cell in self._cells(oracle)
+        ]
+        report = run_cells(cells, tiny_data_dir, None, jobs=2)
+        assert [c["n"] for c in report["cells"]] == [10, 10]
+        assert started == [2]
+
+    def test_say_runs_once_per_episode_and_history(
+        self, tiny_data_dir, tiny_model_dir, monkeypatch
+    ):
+        """All six trained cells of an episode share one Say distribution per
+        history; an episode that repeats another's goal and observation
+        computes its own."""
+        episode, queried, computed = [None], [], []
+        plan_episode = evaluate.plan_episode
+        action_probs = SayPolicy.action_probs
+        trained_probs = TrainedSay.action_probs
+
+        def tracking_plan(env_id, traj, *args, **kwargs):
+            episode[0] = traj.episode.episode_id
+            return plan_episode(env_id, traj, *args, **kwargs)
+
+        def counting_probs(self, history, goal, vocab):
+            computed.append((episode[0], history))
+            return action_probs(self, history, goal, vocab)
+
+        def querying_probs(self, history):
+            queried.append((episode[0], history))
+            return trained_probs(self, history)
+
+        monkeypatch.setattr(evaluate, "plan_episode", tracking_plan)
+        monkeypatch.setattr(SayPolicy, "action_probs", counting_probs)
+        monkeypatch.setattr(TrainedSay, "action_probs", querying_probs)
+        report = run_matrix(
+            tiny_data_dir, tiny_model_dir, ["hanoi"], ["greedy-action", "beam-action"],
+            ["say", "saycan", "saycanpay"], {}, [0], jobs=1,
+        )
+        assert len(report["cells"]) == 6 and all("n" in c for c in report["cells"])
+        assert len(computed) == len(set(computed))
+        assert set(computed) == set(queried) and len(queried) > len(computed)
 
     def test_trained_cells_run_on_tiny_models(self, tiny_data_dir, tiny_model_dir):
         report = run_cells(

@@ -304,8 +304,8 @@ class TestSayProposals:
     def test_zero_weights_give_uniform_lexicographic_top_m(self):
         spec = reset("hanoi", 0, "train")
         vocab = get_env("hanoi").admissible_actions(spec)
-        policy = self._uniform_policy()
-        top = say_top_m(policy, History(spec.init_obs), spec.goal, vocab, 3)
+        probs = self._uniform_policy().action_probs(History(spec.init_obs), spec.goal, vocab)
+        top = say_top_m(probs, vocab, 3)
         assert [a.text for a, _ in top] == [a.text for a in vocab[:3]]
         for _, p in top:
             assert p == pytest.approx(1.0 / len(vocab))
@@ -317,18 +317,19 @@ class TestSayProposals:
         policy = self._uniform_policy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            top = say_top_m(policy, History(spec.init_obs), spec.goal, vocab, 99)
+            probs = policy.action_probs(History(spec.init_obs), spec.goal, vocab)
+            top = say_top_m(probs, vocab, 99)
         assert len(top) == len(vocab)
         assert sum(p for _, p in top) == pytest.approx(1.0)
 
     def test_top_m_validates_arguments(self):
-        policy = self._uniform_policy()
         spec = reset("hanoi", 0, "train")
         vocab = get_env("hanoi").admissible_actions(spec)
+        probs = self._uniform_policy().action_probs(History(spec.init_obs), spec.goal, vocab)
         with pytest.raises(ContractError):
-            say_top_m(policy, History(spec.init_obs), spec.goal, vocab, 0)
+            say_top_m(probs, vocab, 0)
         with pytest.raises(ContractError):
-            say_top_m(policy, History(spec.init_obs), spec.goal, [], 1)
+            say_top_m(np.array([]), [], 1)
 
 
 class TestPerfectSay:
