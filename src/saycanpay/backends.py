@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ActionInstance, ContractError, History
+from .decoding import map_to_admissible
 from .envs import Environment, EpisodeSpec
 from .models import LinearScorer, SayPolicy, external_say, perfect_say, say_top_m
 from .oracle import DELTA, OracleCan, OraclePay, ReplayCache
@@ -96,16 +97,13 @@ class ExternalSay:
     """Free-form proposals from a remote adapter, mapped to the vocabulary."""
 
     def __init__(self, env: Environment, spec: EpisodeSpec, endpoint: str):
-        from .decoding import map_to_admissible
-
         self.vocab = env.admissible_actions(spec)
         self.goal = spec.goal
         self.endpoint = endpoint
-        self._map = map_to_admissible
 
     def propose(self, history: History, m: int) -> list[tuple[ActionInstance, float]]:
         responses = external_say(self.endpoint, history, self.goal, m)
-        return [(self._map(text, self.vocab), prob) for text, prob in responses]
+        return [(map_to_admissible(text, self.vocab), prob) for text, prob in responses]
 
 
 class TrainedCan:

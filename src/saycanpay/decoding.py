@@ -6,12 +6,12 @@ import math
 from dataclasses import dataclass, replace
 
 from .core import (
+    SCORE_MODES,
     ActionInstance,
     ContractError,
     History,
     ScoredCandidate,
     accumulate,
-    clamp,
     decode_score,
     length_normalize,
 )
@@ -31,6 +31,8 @@ class DecodingConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ContractError(f"unknown strategy {self.strategy!r}")
+        if self.score_mode not in SCORE_MODES:
+            raise ContractError(f"unknown score mode {self.score_mode!r}")
         if not 1 <= self.k <= self.m:
             raise ContractError("beam count k must satisfy 1 <= k <= m")
 
@@ -93,27 +95,12 @@ def expand_candidates(
     ]
 
 
-def _plan_result(
-    per_step: tuple[ScoredCandidate, ...], f_acc: float, terminated_by: str
-) -> PlanResult:
-    """The plan of the chosen candidates, scored by its length-normalized sum."""
-    plan = tuple(c.action for c in per_step)
-    final = length_normalize(f_acc, len(plan)) if plan else -math.inf
-    return PlanResult(
-        plan=plan,
-        per_step=per_step,
-        final_score=final,
-        terminated_by=terminated_by if plan else "step-limit",
-    )
-
-
 @dataclass(frozen=True)
 class _BeamState:
     history: History
     f_acc: float
     per_step: tuple[ScoredCandidate, ...]
-    terminated: bool
-    terminated_by: str = "step-limit"
+    terminated_by: str | None = None  # None while the beam can still grow
 
     def norm_score(self) -> float:
         n = len(self.history.actions)
@@ -142,83 +129,69 @@ def beam_action(
     are ranked by their normalized sums, so two step scores closer than the
     sum's rounding error tie and fall to the lexicographic order.
     """
-    beams = [
-        _BeamState(
-            history=History(episode.init_obs), f_acc=0.0, per_step=(), terminated=False
-        )
-    ]
+    beams = [_BeamState(history=History(episode.init_obs), f_acc=0.0, per_step=())]
     finished: list[_BeamState] = []
     for step in range(episode.max_steps):
-        if all(b.terminated for b in beams):
+        if all(b.terminated_by for b in beams):
             break
         extensions: list[_BeamState] = []
         for beam in beams:
-            if beam.terminated:
+            if beam.terminated_by:
                 extensions.append(beam)
                 continue
             candidates = expand_candidates(say, can, pay, beam.history, config)
             if not candidates:
-                extensions.append(replace(beam, terminated=True))
+                extensions.append(replace(beam, terminated_by="step-limit"))
                 continue
             best_cand = min(candidates, key=lambda c: (-c.step_log_score, c.action.text))
             if best_cand.action.is_done:
                 candidates = [best_cand]
+            at_limit = step + 1 >= episode.max_steps
             for cand in candidates:
-                done = cand.action.is_done
-                at_limit = step + 1 >= episode.max_steps
+                if cand.action.is_done:
+                    terminated_by = "done"
+                else:
+                    terminated_by = "step-limit" if at_limit else None
                 extensions.append(
                     _BeamState(
                         history=beam.history.extended(cand.action),
                         f_acc=accumulate(beam.f_acc, cand.step_log_score),
                         per_step=beam.per_step + (cand,),
-                        terminated=done or at_limit,
-                        terminated_by="done" if done else "step-limit",
+                        terminated_by=terminated_by,
                     )
                 )
         beams = sorted(extensions, key=_BeamState.sort_key)[: config.k]
         seen = {id(b) for b in finished}
-        finished.extend(b for b in beams if b.terminated and id(b) not in seen)
+        finished.extend(b for b in beams if b.terminated_by and id(b) not in seen)
     best = min(finished or beams, key=_BeamState.sort_key)
-    return _plan_result(best.per_step, best.f_acc, best.terminated_by)
+    plan = tuple(c.action for c in best.per_step)
+    return PlanResult(
+        plan=plan,
+        per_step=best.per_step,
+        final_score=length_normalize(best.f_acc, len(plan)) if plan else -math.inf,
+        terminated_by=best.terminated_by or "step-limit",
+    )
 
 
-def greedy_action(
-    say, can, pay, episode: EpisodeSpec, config: DecodingConfig
-) -> PlanResult:
-    """Pick the argmax-scored candidate at every step: beam search with k=1."""
-    return beam_action(say, can, pay, episode, replace(config, k=1))
+class _TokenGreedySay:
+    """Greedy-token's proposer: the one action that token-level argmax
+    decoding over the trie of the Say backend's vocabulary reaches, with its
+    probability. The backend must expose its full distribution
+    (`action_probs`)."""
 
-
-def greedy_token(say, episode: EpisodeSpec, config: DecodingConfig) -> PlanResult:
-    """Token-level argmax decoding over the trie of the Say backend's
-    vocabulary, which must expose its full distribution (`action_probs`)."""
-    if not hasattr(say, "action_probs"):
-        raise ContractError(
-            f"strategy greedy-token needs a Say backend with a full action "
-            f"distribution; {type(say).__name__} has none"
-        )
-    vocab = say.vocab
-    trie = TokenTrie(vocab)
-    history = History(episode.init_obs)
-    per_step: list[ScoredCandidate] = []
-    f_acc = 0.0
-    terminated_by = "step-limit"
-    for _ in range(episode.max_steps):
-        probs = say.action_probs(history)
-        action = trie.greedy_action(probs)
-        p_say = float(probs[vocab.index(action)])
-        step = math.log(clamp(p_say))
-        per_step.append(
-            ScoredCandidate(
-                action=action, p_say=p_say, p_can=1.0, f_pay=1.0, step_log_score=step
+    def __init__(self, say):
+        if not hasattr(say, "action_probs"):
+            raise ContractError(
+                f"strategy greedy-token needs a Say backend with a full action "
+                f"distribution; {type(say).__name__} has none"
             )
-        )
-        f_acc = accumulate(f_acc, step)
-        history = history.extended(action)
-        if action.is_done:
-            terminated_by = "done"
-            break
-    return _plan_result(tuple(per_step), f_acc, terminated_by)
+        self.say = say
+        self.trie = TokenTrie(say.vocab)
+
+    def propose(self, history: History, m: int) -> list[tuple[ActionInstance, float]]:
+        probs = self.say.action_probs(history)
+        action = self.trie.greedy_action(probs)
+        return [(action, float(probs[self.trie.vocab.index(action)]))]
 
 
 def run_strategy(
@@ -228,10 +201,14 @@ def run_strategy(
     can=None,
     pay=None,
 ) -> PlanResult:
-    """Dispatch on config.strategy; `can` and `pay` may be None where the
-    strategy or score mode never calls them."""
+    """Run config.strategy as one beam search; `can` and `pay` may be None
+    where the strategy or score mode never calls them.
+
+    Greedy-action is beam-action with k=1.  Greedy-token is beam k=1 over
+    its one token-greedy proposal, scored by Say alone."""
     if config.strategy == "greedy-token":
-        return greedy_token(say, episode, config)
-    if config.strategy == "greedy-action":
-        return greedy_action(say, can, pay, episode, config)
+        say = _TokenGreedySay(say)
+        config = replace(config, score_mode="say", k=1)
+    elif config.strategy == "greedy-action":
+        config = replace(config, k=1)
     return beam_action(say, can, pay, episode, config)

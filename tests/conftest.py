@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from saycanpay import models
-from saycanpay.core import History, ScoredCandidate, accumulate, length_normalize
+from saycanpay.core import History, ScoredCandidate, accumulate, clamp, length_normalize
 
 from saycanpay.data import (
     generate_dataset,
@@ -30,6 +30,7 @@ from saycanpay.envs import ENV_IDS, get_env, reset
 from saycanpay.features import DIM, FEATURE_SCALE, PLAIN_SCALE, bucket, feature_grams
 from saycanpay.models import CAN_CALIBRATION_RAW, AdamW, TrainConfig, sigmoid, train
 from saycanpay.oracle import DELTA
+from saycanpay.trie import TokenTrie
 
 TRAIN_SEEDS = (0, 1, 2)
 
@@ -72,6 +73,44 @@ def reference_greedy_action(say, can, pay, episode, config) -> PlanResult:
         f_acc = accumulate(f_acc, best.step_log_score)
         history = history.extended(best.action)
         if best.action.is_done:
+            terminated_by = "done"
+            break
+    plan = tuple(c.action for c in per_step)
+    final = length_normalize(f_acc, len(plan)) if plan else -math.inf
+    return PlanResult(
+        plan=plan,
+        per_step=tuple(per_step),
+        final_score=final,
+        terminated_by=terminated_by,
+    )
+
+
+def reference_greedy_token(say, episode, config) -> PlanResult:
+    """Independent greedy-token loop: token-level argmax decoding over the
+    trie of the Say backend's vocabulary, scored by Say alone.
+
+    The library runs greedy-token as beam-action with k=1 over this one
+    proposal; this loop is the reference that equivalence is checked against.
+    """
+    vocab = say.vocab
+    trie = TokenTrie(vocab)
+    history = History(episode.init_obs)
+    per_step: list[ScoredCandidate] = []
+    f_acc = 0.0
+    terminated_by = "step-limit"
+    for _ in range(episode.max_steps):
+        probs = say.action_probs(history)
+        action = trie.greedy_action(probs)
+        p_say = float(probs[vocab.index(action)])
+        step = math.log(clamp(p_say))
+        per_step.append(
+            ScoredCandidate(
+                action=action, p_say=p_say, p_can=1.0, f_pay=1.0, step_log_score=step
+            )
+        )
+        f_acc = accumulate(f_acc, step)
+        history = history.extended(action)
+        if action.is_done:
             terminated_by = "done"
             break
     plan = tuple(c.action for c in per_step)

@@ -3,17 +3,18 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_greedy_action
+from conftest import reference_greedy_action, reference_greedy_token
 from saycanpay.backends import PerfectSay, UniformSay
 from saycanpay.core import SCORE_MODES, ActionInstance, ContractError, History
 from saycanpay.decoding import (
+    STRATEGIES,
     DecodingConfig,
     beam_action,
     expand_candidates,
-    greedy_action,
     map_to_admissible,
     run_strategy,
     word_edit_distance,
@@ -79,6 +80,14 @@ class TestDecodingConfig:
     def test_beam_count_bounds(self, k, m):
         with pytest.raises(ContractError):
             DecodingConfig(k=k, m=m)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_unknown_score_mode_rejected(self, strategy):
+        env = get_env("hanoi")
+        spec = reset("hanoi", 0, "train")
+        with pytest.raises(ContractError, match="score mode"):
+            config = DecodingConfig(strategy=strategy, score_mode="bogus")
+            run_strategy(spec, config, UniformSay(env, spec))
 
 
 class _ScriptedSay:
@@ -233,12 +242,12 @@ class TestBeamSearch:
         spec = reset("hanoi", 0, "train")
         config = DecodingConfig(strategy="greedy-action", score_mode="saycan", m=2,
                                 k=1)
-        result = greedy_action(say, can, _noop, spec, config)
+        result = run_strategy(spec, config, say, can, _noop)
         assert result.plan[0].text == "safe step"
         # the vetoed candidate's score collapses to the clamp floor
         config_say = DecodingConfig(strategy="greedy-action", score_mode="say", m=2,
                                     k=1)
-        unguarded = greedy_action(say, can, _noop, spec, config_say)
+        unguarded = run_strategy(spec, config_say, say, can, _noop)
         assert unguarded.plan[0].text == "broken step"
 
 
@@ -297,6 +306,34 @@ class TestGreedyToken:
         assert len(result.plan) == 5
         assert result.terminated_by == "step-limit"
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        score_mode=st.sampled_from(SCORE_MODES),
+        k=st.integers(1, 3),
+        max_steps=st.integers(0, 8),
+    )
+    def test_matches_the_reference_loop(self, data, score_mode, k, max_steps):
+        distributions = {}
+
+        class TableSay:
+            vocab = _TABLE_ACTIONS
+
+            def action_probs(self, history):
+                key = tuple(a.text for a in history.actions)
+                if key not in distributions:
+                    size = len(self.vocab)
+                    masses = st.lists(_PROBS, min_size=size, max_size=size)
+                    distributions[key] = np.array(data.draw(masses.filter(any)))
+                return distributions[key]
+
+        spec = replace(reset("hanoi", 0, "train"), max_steps=max_steps)
+        config = DecodingConfig(strategy="greedy-token", score_mode=score_mode, m=3,
+                                k=k)
+        # Say alone scores greedy-token, so Can and Pay are never called.
+        result = run_strategy(spec, config, TableSay(), None, None)
+        assert result == reference_greedy_token(TableSay(), spec, config)
+
     def test_missing_vocab_rejected(self):
         # greedy-token reads the vocabulary and full distribution of its proposer
         spec = reset("hanoi", 0, "train")
@@ -315,7 +352,7 @@ class TestRunStrategy:
         can, pay = OracleCan(oracle), OraclePay(oracle)
         config = DecodingConfig(strategy="greedy-action", score_mode="saycanpay")
         via_dispatch = run_strategy(spec, config, say, can, pay)
-        direct = greedy_action(say, can, pay, spec, config)
+        direct = beam_action(say, can, pay, spec, replace(config, k=1))
         assert via_dispatch == direct
 
     def test_missing_can_pay_default_to_one(self):
