@@ -10,7 +10,8 @@ import numpy as np
 from .core import ActionInstance, ContractError, History
 from .decoding import map_to_admissible
 from .envs import Environment, EpisodeSpec
-from .models import LinearScorer, SayPolicy, external_say, perfect_say, say_top_m
+from .features import featurize
+from .models import LinearScorer, SayPolicy, external_say, perfect_say, say_top_m, sigmoid
 from .oracle import DELTA, OracleCan, OraclePay, ReplayCache
 
 SAY_BACKENDS = ("trained", "uniform", "perfect-say", "external")
@@ -107,9 +108,10 @@ class ExternalSay:
 
 
 class TrainedCan:
-    """Trained Can (or Pay): one `featurize` and `logits` call per candidate
-    list, kept in the episode's score `table` under (model, history,
-    candidates)."""
+    """Trained Can (or Pay): the scores of one candidate list are kept in the
+    episode's score `table` under (model, history, candidates), and the
+    `featurize` rows they come from under (profile, history, candidates), so
+    the trained Can and Pay of one expansion share their rows."""
 
     def __init__(self, spec: EpisodeSpec, model: LinearScorer, table: dict | None = None):
         model.check_env(spec.env_id)
@@ -118,9 +120,15 @@ class TrainedCan:
         self.table = {} if table is None else table
 
     def __call__(self, history: History, actions: list[ActionInstance]) -> tuple[float, ...]:
-        key = (self.model, history, tuple(actions))
+        candidates = tuple(actions)
+        key = (self.model, history, candidates)
         if key not in self.table:
-            self.table[key] = tuple(self.model.score(self.goal, history, actions))
+            profile = self.model.profile
+            rows = self.table.get((profile, history, candidates))
+            if rows is None:
+                rows = featurize(self.goal, history, actions, profile)
+                self.table[profile, history, candidates] = rows
+            self.table[key] = tuple(map(sigmoid, self.model.logits(rows)))
         return self.table[key]
 
 
@@ -139,13 +147,15 @@ def episode_backends(
     choice: BackendChoice, env: Environment, spec: EpisodeSpec, table: dict | None = None
 ):
     """The (say, can, pay) scorers for one episode; the oracle roles share
-    one ReplayCache, and the trained roles the episode's score `table`."""
+    one ReplayCache, and the trained roles the episode's score `table` (a
+    new one when None)."""
     for role, names in (
         ("say", SAY_BACKENDS), ("can", CAN_BACKENDS), ("pay", PAY_BACKENDS)
     ):
         if getattr(choice, role) not in names:
             raise ContractError(f"unknown {role} backend {getattr(choice, role)!r}")
     oracle = ReplayCache(env, spec)
+    table = {} if table is None else table
     if choice.say == "uniform":
         say = UniformSay(env, spec)
     elif choice.say == "perfect-say":

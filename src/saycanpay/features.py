@@ -10,10 +10,14 @@ scale so the few optimizer steps the training budget allows still produce
 logits of useful magnitude.
 
 `feature_grams` + `bucket` define the features one gram at a time.
-`featurize` computes the same counts for a whole candidate list at once: it
-hashes each piece (a segment, an action's grams, a cross of two token lists)
-once into a bounded cache, so the pieces an episode shares are not hashed
-again for every (history, candidate) pair.
+`featurize` computes the same counts for a whole candidate list at once from
+pieces hashed once into bounded caches.  The pieces are keyed by word and
+segment, not by episode: a segment (goal, observation, one past action, a
+candidate's own grams) by its prefix and tokens, and a cross by (tag, word,
+candidate tokens).  The few words of an environment are shared by all its
+episodes, so a new episode or history costs a concatenation of cached arrays,
+and a signature gram continues the cached FNV-1a state of its history prefix.
+The rows of one call are then one sort and count of their keys.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .core import ActionInstance, ContractError, GoalSpec, History
 
-DIM = 2**14
+DIM = 2**14  # a power of two: a key's bucket is its low bits
 HASH_SEED = 0x9E3779B9
 HISTORY_WINDOW = 3  # most recent actions kept in the history segment
 FEATURE_SCALE = 64.0
@@ -40,6 +44,7 @@ _FNV_PRIME = 1099511628211
 # Sizes of the piece caches; each holds far more than one episode's pieces.
 _TEXT_CACHE = 4096
 _PIECE_CACHE = 1 << 15
+_PIECE = np.int16  # cached buckets are below DIM; two bytes keep the caches small
 
 
 def _fnv(h: int, text: str) -> int:
@@ -119,9 +124,34 @@ def _tokens(text: str) -> tuple[str, ...]:
 
 def _hashed(grams) -> np.ndarray:
     """Buckets of `grams` as a read-only array (the caches share it)."""
-    buckets = np.array([bucket(g) for g in grams], dtype=np.intp)
+    return _frozen(np.array([bucket(g) for g in grams], dtype=_PIECE))
+
+
+def _frozen(buckets: np.ndarray) -> np.ndarray:
     buckets.flags.writeable = False
     return buckets
+
+
+@lru_cache(maxsize=_PIECE_CACHE)
+def _segment(prefix: str, tokens: tuple[str, ...]) -> np.ndarray:
+    """Buckets of one segment's unigrams and bigrams under `prefix`."""
+    return _hashed(_grams(prefix, list(tokens)))
+
+
+@lru_cache(maxsize=_PIECE_CACHE)
+def _word_cross(tag: str, word: str, tokens: tuple[str, ...]) -> np.ndarray:
+    """Buckets of the `tag:{word}|{w2}` crosses of one word and a candidate."""
+    return _hashed(f"{tag}:{word}|{w2}" for w2 in tokens)
+
+
+def _crosses(tag: str, words, tokens: tuple[str, ...]) -> list[np.ndarray]:
+    return [_word_cross(tag, w, tokens) for w in words]
+
+
+@lru_cache(maxsize=_PIECE_CACHE)
+def _cross(tag: str, past: tuple[str, ...], tokens: tuple[str, ...]) -> np.ndarray:
+    """Buckets of the `tag:{w1}|{w2}` crosses of a past action and a candidate."""
+    return _frozen(np.concatenate(_crosses(tag, past, tokens)))
 
 
 @lru_cache(maxsize=_PIECE_CACHE)
@@ -130,45 +160,54 @@ def _context(
 ) -> np.ndarray:
     """Buckets shared by every candidate: the goal, observation and
     history-window segments (most recent action first) and the history length."""
-    grams = _grams("g", list(_tokens(goal_text)))
-    grams.extend(_grams("h:o", list(_tokens(obs))))
-    for back, tokens in enumerate(recent, start=1):
-        grams.extend(_grams(f"h:{back}", list(tokens)))
-    grams.append(f"h:len:{n_actions}")
-    return _hashed(grams)
+    parts = [_segment("g", _tokens(goal_text)), _segment("h:o", _tokens(obs))]
+    parts.extend(
+        _segment(f"h:{back}", tokens) for back, tokens in enumerate(recent, start=1)
+    )
+    parts.append(_segment("h:len", (str(n_actions),)))  # the one gram h:len:{n}
+    return _frozen(np.concatenate(parts))
 
 
 @lru_cache(maxsize=_PIECE_CACHE)
-def _action_piece(
-    goal_text: str, obs: str, tokens: tuple[str, ...], is_done: bool, full: bool
-) -> np.ndarray:
-    """Buckets of a candidate's own grams and, in the full profile, of its
-    goal x action (`y:`) and observation x action (`z:`) crosses."""
-    grams = _grams("a", list(tokens))
+def _own_piece(tokens: tuple[str, ...], is_done: bool) -> np.ndarray:
+    """Buckets of a candidate's own grams."""
+    parts = [_segment("a", tokens)]
     if is_done:
-        grams.append("a:is_done")
-    if full:
-        for tag, text in (("y", goal_text), ("z", obs)):
-            grams.extend(f"{tag}:{w1}|{w2}" for w1 in _tokens(text) for w2 in tokens)
-    return _hashed(grams)
+        parts.append(_segment("a", ("is_done",)))  # the one gram a:is_done
+    return _frozen(np.concatenate(parts))
 
 
 @lru_cache(maxsize=_PIECE_CACHE)
-def _cross(tag: str, past: tuple[str, ...], tokens: tuple[str, ...]) -> np.ndarray:
-    """Buckets of the `tag:{w1}|{w2}` crosses of a past action and a candidate."""
-    return _hashed(f"{tag}:{w1}|{w2}" for w1 in past for w2 in tokens)
-
-
-@lru_cache(maxsize=_TEXT_CACHE)
-def _prefix_state(prefix: str) -> int:
-    """FNV-1a state after a signature gram's context prefix."""
-    return _fnv(_FNV_OFFSET, prefix)
+def _full_piece(
+    goal_text: str, obs: str, tokens: tuple[str, ...], is_done: bool
+) -> np.ndarray:
+    """Buckets of a candidate's own grams and of its goal x action (`y:`) and
+    observation x action (`z:`) crosses, one cached piece per (word,
+    candidate)."""
+    parts = [_own_piece(tokens, is_done)]
+    parts.extend(_crosses("y", _tokens(goal_text), tokens))
+    parts.extend(_crosses("z", _tokens(obs), tokens))
+    return _frozen(np.concatenate(parts))
 
 
 @lru_cache(maxsize=_PIECE_CACHE)
-def _signature(state: int, text: str) -> int:
-    """Bucket of a signature gram: its prefix state continued over `text`."""
-    return _fnv(state, text) % DIM
+def _joined_state(head: str, texts: tuple[str, ...]) -> int:
+    """FNV-1a state after `head` and then `texts` joined by " / ".  FNV-1a is
+    sequential, so it continues the cached state of `texts[:-1]`: a longer
+    history costs the bytes of its last action only."""
+    if not texts:
+        return _fnv(_FNV_OFFSET, head)
+    separator = " / " if len(texts) > 1 else ""
+    return _fnv(_joined_state(head, texts[:-1]), separator + texts[-1])
+
+
+@lru_cache(maxsize=_PIECE_CACHE)
+def _signature(c_state: int, d_state: int, text: str) -> np.ndarray:
+    """Buckets of a candidate's `c:` and `d:` signature grams, each
+    SIGNATURE_COUNT times: the context states continued over `text`."""
+    c = _fnv(c_state, text) % DIM
+    d = _fnv(d_state, text) % DIM
+    return _frozen(np.array([c] * SIGNATURE_COUNT + [d] * SIGNATURE_COUNT, dtype=_PIECE))
 
 
 def featurize(
@@ -185,6 +224,9 @@ def featurize(
     """
     if profile not in PROFILES:
         raise ContractError(f"unknown feature profile {profile!r}")
+    n_rows = len(actions)
+    if not n_rows:
+        return np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
     full = profile == "full"
     goal_text, obs = goal.text, history.init_obs
     recent = history.actions[-HISTORY_WINDOW:][::-1]
@@ -196,29 +238,40 @@ def featurize(
         crossed.extend(
             (f"x{back}", past.tokens) for back, past in enumerate(recent[1:], start=2)
         )
-        texts = " / ".join(a.text for a in history.actions)
-        c_state = _prefix_state(f"c:{obs}|{texts}|")
-        d_state = _prefix_state(f"d:{texts}|")
+        texts = tuple(a.text for a in history.actions)
+        c_state = _fnv(_joined_state(f"c:{obs}|", texts), "|")
+        d_state = _fnv(_joined_state("d:", texts), "|")
+    # Each row's pieces, concatenated; the key r * DIM + bucket sorts the
+    # rows apart, and equal keys are one bucket of one row.
     pieces = []
     lengths = []
+    n_context = len(context)
     for action in actions:
         tokens = action.tokens
-        row = [context, _action_piece(goal_text, obs, tokens, action.is_done, full)]
-        row.extend(_cross(tag, past, tokens) for tag, past in crossed)
         if full:
-            c = _signature(c_state, action.text)
-            d = _signature(d_state, action.text)
-            row.append(np.array([c] * SIGNATURE_COUNT + [d] * SIGNATURE_COUNT,
-                                dtype=np.intp))
-        pieces.extend(row)
-        lengths.append(sum(map(len, row)))
-    n_rows = len(actions)
-    if not n_rows:
-        return np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    keys = np.concatenate(pieces)
-    keys += np.repeat(np.arange(0, n_rows * DIM, DIM), lengths)
-    keys, counts = np.unique(keys, return_counts=True)
-    rows, indices = np.divmod(keys, DIM)
-    indptr = np.searchsorted(rows, np.arange(n_rows + 1))
+            piece = _full_piece(goal_text, obs, tokens, action.is_done)
+        else:
+            piece = _own_piece(tokens, action.is_done)
+        pieces += (context, piece)
+        length = n_context + len(piece)
+        for tag, past in crossed:
+            piece = _cross(tag, past, tokens)
+            pieces.append(piece)
+            length += len(piece)
+        if full:
+            pieces.append(_signature(c_state, d_state, action.text))
+            length += 2 * SIGNATURE_COUNT
+        lengths.append(length)
+    starts = np.arange(0, (n_rows + 1) * DIM, DIM)
+    keys = np.concatenate(pieces, dtype=np.intp)
+    keys += starts[:-1].repeat(lengths)
+    keys.sort()
+    # np.unique(keys, return_counts=True), without its wrapper's overhead
+    edges = np.empty(len(keys) + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)
+    distinct = keys[bounds[:-1]]
+    indptr = distinct.searchsorted(starts)
     scale = FEATURE_SCALE if full else PLAIN_SCALE
-    return indptr, indices, scale * counts
+    return indptr, distinct & (DIM - 1), scale * (bounds[1:] - bounds[:-1])

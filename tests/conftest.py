@@ -177,6 +177,16 @@ def _reference_row(goal, history, action, profile="full"):
     )
 
 
+def reference_featurize(goal, history, actions, profile="full"):
+    """`featurize`'s CSR rows `(indptr, indices, values)` rebuilt one
+    candidate at a time by `_reference_row`."""
+    rows = [_reference_row(goal, history, a, profile) for a in actions]
+    indptr = np.cumsum([0] + [len(indices) for indices, _ in rows], dtype=np.intp)
+    indices = np.concatenate([np.zeros(0, dtype=np.intp)] + [i for i, _ in rows])
+    values = np.concatenate([np.zeros(0)] + [v for _, v in rows])
+    return indptr, indices, values
+
+
 def _reference_raw(params, feat):
     idx, vals = feat
     return float(params[idx] @ vals) + params[-1]

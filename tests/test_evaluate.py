@@ -2,10 +2,11 @@
 
 import concurrent.futures
 import json
+from collections import Counter
 
 import pytest
 
-from saycanpay import evaluate
+from saycanpay import backends, decoding, evaluate
 from saycanpay.backends import TrainedSay, episode_backends
 from saycanpay.core import ContractError, ModelFileError
 from saycanpay.decoding import DecodingConfig, PlanResult
@@ -318,6 +319,49 @@ class TestRunCells:
         cell = report["cells"][0]
         assert "skipped" not in cell
         assert cell["backends"].startswith("say=trained")
+
+
+class TestSharedRows:
+    @pytest.mark.parametrize("env_id", ["blocks", "gridworld"])
+    def test_can_and_pay_featurize_each_candidate_list_once(
+        self, env_id, tiny_data_dir, tiny_model_dir, monkeypatch
+    ):
+        """In a saycanpay beam episode with trained Can and Pay, each
+        (history, candidate list) is featurized once for both roles, and each
+        p_can / f_pay is that model's `score` of the same list."""
+        store = ModelStore(tiny_model_dir)
+        choice = build_backends(store, env_id, {}, 0, None, DELTA)
+        traj = max(
+            read_trajectories(get_env(env_id), split_path(tiny_data_dir, env_id, "test")),
+            key=lambda t: len(t.actions),
+        )
+        featurized, expansions = [], []
+        featurize, expand = backends.featurize, decoding.expand_candidates
+
+        def counting_featurize(goal, history, actions, profile="full"):
+            featurized.append((profile, history, tuple(actions)))
+            return featurize(goal, history, actions, profile)
+
+        def recording_expand(say, can, pay, history, config):
+            scored = expand(say, can, pay, history, config)
+            expansions.append((history, scored))
+            return scored
+
+        monkeypatch.setattr(backends, "featurize", counting_featurize)
+        monkeypatch.setattr(decoding, "expand_candidates", recording_expand)
+        config = DecodingConfig(strategy="beam-action", score_mode="saycanpay")
+        evaluate.plan_episode(env_id, traj, choice, config)
+
+        lists = {(history, tuple(c.action for c in scored))
+                 for history, scored in expansions if scored}
+        assert len(lists) > 1
+        assert Counter(featurized) == Counter(("full", h, a) for h, a in lists)
+        goal = traj.episode.goal
+        for history, scored in expansions:
+            actions = [c.action for c in scored]
+            if actions:
+                assert [c.p_can for c in scored] == choice.can_model.score(goal, history, actions)
+                assert [c.f_pay for c in scored] == choice.pay_model.score(goal, history, actions)
 
 
 class TestAblate:

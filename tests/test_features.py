@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_reachable_history
+from saycanpay import features
 from saycanpay.core import ActionInstance, ContractError, GoalSpec, History
 from saycanpay.features import (
     DIM,
@@ -158,6 +159,44 @@ def test_featurize_matches_the_hashed_gram_counts(env_id, seed, split, walk, pic
     for a, b, row_a, row_b in zip(actions, actions[1:], rows, rows[1:]):
         assert (row_a == row_b) == (a == b)
     assert all(0 <= i < DIM for indices, _ in rows for i in indices)
+
+
+_EPISODE = st.tuples(st.sampled_from(ENV_IDS), st.integers(0, 300), st.sampled_from(SPLITS))
+_REQUEST = st.tuples(
+    st.integers(0, 2),  # the episode whose goal the request takes
+    st.integers(0, 2),  # the episode whose observation and moves it takes
+    st.lists(st.integers(0, 50), max_size=HISTORY_WINDOW + 2),
+    st.lists(st.integers(0, 200), min_size=1, max_size=6),
+    st.sampled_from(PROFILES),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    episodes=st.lists(_EPISODE, min_size=1, max_size=3),
+    requests=st.lists(_REQUEST, min_size=2, max_size=8),
+)
+def test_rows_from_cold_caches_in_any_order_match_the_gram_counts(episodes, requests):
+    """From empty caches, requests in a drawn order, each pairing one drawn
+    episode's goal with another's observation and moves, in either profile,
+    with candidates from all their vocabularies, get the rows of their own
+    grams: a piece cache whose key drops the tag, the goal, the observation,
+    the profile or a word's position would hand one request another's piece.
+    Each request also scores the previous request's picks, so a candidate
+    meets several goals, observations, histories and profiles."""
+    for cached in vars(features).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    pool = [a for e in episodes for a in random_reachable_history(*e, [])[2]]
+    previous = []
+    for goal_from, moves_from, walk, picks, profile in requests:
+        goal = random_reachable_history(*episodes[goal_from % len(episodes)], [])[0]
+        _, history, _ = random_reachable_history(*episodes[moves_from % len(episodes)], walk)
+        picked = [pool[p % len(pool)] for p in picks]
+        actions = previous + picked
+        rows = rows_of(featurize(goal, history, actions, profile))
+        assert rows == [reference_row(goal, history, a, profile) for a in actions]
+        previous = picked
 
 
 def test_collision_rate_on_real_vocabulary_grams():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from saycanpay import models
 from saycanpay.core import (
     ActionInstance,
     AdapterError,
@@ -37,7 +38,7 @@ from saycanpay.models import (
 )
 from saycanpay.trie import TokenTrie
 
-from conftest import random_reachable_history, reference_train
+from conftest import random_reachable_history, reference_featurize, reference_train
 
 
 class TestLosses:
@@ -380,6 +381,33 @@ class TestTraining:
         assert scorer.bias == bias
         assert scorer.epoch_losses == epoch_losses
         assert scorer.val_metric == val_metric
+
+    @pytest.mark.parametrize("env_id", ["blocks", "gridworld"])
+    @pytest.mark.parametrize("kind", ["can", "pay", "say"])
+    def test_training_on_featurize_rows_matches_counter_rows(self, env_id, kind, monkeypatch):
+        """The same model, bit for bit, whether its rows come from `featurize`
+        or are rebuilt from feature_grams, bucket and a Counter.  Both sides
+        train on this machine's BLAS, so the check holds on any ddot kernel."""
+        from saycanpay.data import generate_split, make_can_samples, make_pay_samples
+
+        env = get_env(env_id)
+        trajectories = generate_split(env, "train", 20, 0)
+        dataset = {
+            "can": lambda: make_can_samples(trajectories, seed=2),
+            "pay": lambda: make_pay_samples(trajectories, seed=2),
+            "say": lambda: trajectories,
+        }[kind]()
+        config = TrainConfig(epochs=2, seed=2)
+
+        def trained():
+            model = train(kind, dataset, config, env_id, env=env)
+            return model.scorer if kind == "say" else model
+
+        fast = trained()
+        monkeypatch.setattr(models, "featurize", reference_featurize)
+        slow = trained()
+        assert np.array_equal(fast.weights, slow.weights)
+        assert fast.bias == slow.bias
 
     def test_empty_datasets_rejected(self):
         config = TrainConfig(epochs=1)
