@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import random
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..core import ActionInstance, ContractError, GoalSpec, InfeasibleActionError
 
@@ -13,9 +14,8 @@ SPLITS = ("train", "test", "test-generalize")
 
 
 class SymbolicState:
-    """Base class for immutable per-environment symbolic states."""
-
-    env_id: str = ""
+    """Base class for immutable per-environment symbolic states: frozen
+    dataclasses whose fields are JSON values, with tuples for lists."""
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,18 @@ class EpisodeSpec:
 class Environment(ABC):
     """Deterministic text-world with symbolic transitions.
 
+    An env states its domain: its state type, the draw of an episode, its
+    moves, their precondition rule and effect, the goal test and the
+    rendering. This class owns the rest: the seeded draw stream, the episode
+    record, the done action and the state's JSON form.
+
     All methods are pure; one shared instance per environment id is safe to
     use from concurrent workers.
     """
 
     env_id: str = ""
     done_text: str = ""  # the text of the env's one done action
+    state_type: type = SymbolicState  # the env's frozen state dataclass
 
     def __init__(self):
         self._vocab_cache: dict = {}
@@ -59,7 +65,8 @@ class Environment(ABC):
     def sample_episode(self, seed: int, split: str) -> EpisodeSpec: ...
 
     @abstractmethod
-    def _vocabulary(self, spec: EpisodeSpec) -> list[ActionInstance]: ...
+    def _moves(self, state: SymbolicState) -> list[ActionInstance]:
+        """Every move of an episode that starts in `state`, feasible or not."""
 
     @abstractmethod
     def _move_violation(
@@ -115,18 +122,26 @@ class Environment(ABC):
     @abstractmethod
     def render_observation(self, state: SymbolicState) -> str: ...
 
-    @abstractmethod
-    def state_to_json(self, state: SymbolicState) -> dict: ...
+    def state_to_json(self, state: SymbolicState) -> dict:
+        """The state's fields by name; JSON stores their tuples as lists."""
+        return {f.name: getattr(state, f.name) for f in fields(state)}
 
-    @abstractmethod
-    def state_from_json(self, payload: dict) -> SymbolicState: ...
+    def state_from_json(self, payload: dict) -> SymbolicState:
+        """The state a `state_to_json` payload holds, its lists as tuples."""
+        return self.state_type(
+            **{f.name: _tuples(payload[f.name]) for f in fields(self.state_type)}
+        )
 
     def admissible_actions(self, spec: EpisodeSpec) -> list[ActionInstance]:
-        """Episode-level action vocabulary (feasible and otherwise), sorted."""
+        """Episode-level action vocabulary (feasible and otherwise), sorted:
+        the env's moves and its done action."""
         key = (spec.goal, spec.init_state)
         cached = self._vocab_cache.get(key)
         if cached is None:
-            cached = sorted(self._vocabulary(spec), key=lambda a: a.text)
+            done = ActionInstance.from_text(self.done_text, op=("done",), is_done=True)
+            cached = sorted(
+                [*self._moves(spec.init_state), done], key=lambda a: a.text
+            )
             self._vocab_cache[key] = cached
         return list(cached)
 
@@ -136,11 +151,27 @@ class Environment(ABC):
                 return action
         raise ContractError(f"{text!r} is not in the episode vocabulary")
 
-    def check_seed_split(self, seed: int, split: str) -> None:
+    def _rng(self, seed: int, split: str) -> random.Random:
+        """The draw stream of episode (`seed`, `split`)."""
         if seed < 0:
             raise ContractError("seed must be >= 0")
         if split not in SPLITS:
             raise ContractError(f"unknown split {split!r}")
+        return random.Random(f"{self.env_id}|{split}|{seed}")
+
+    def _episode(
+        self, state: SymbolicState, goal: GoalSpec, split: str, seed: int
+    ) -> EpisodeSpec:
+        """The episode drawn as (`seed`, `split`) that starts in `state`."""
+        return EpisodeSpec(
+            env_id=self.env_id, goal=goal, init_obs=self.render_observation(state),
+            init_state=state, split=split, seed=seed,
+        )
+
+
+def _tuples(value):
+    """`value` with every list in it, nested ones too, turned into a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def breadth_first_plan(

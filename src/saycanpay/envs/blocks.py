@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from ..core import ActionInstance, ContractError, GoalSpec
-from .base import DEFAULT_MAX_STEPS, Environment, EpisodeSpec, SymbolicState
+from .base import Environment, EpisodeSpec, SymbolicState
 
 COLORS = ("yellow", "gray", "blue", "red", "green", "orange")
 HELD_OUT_COLORS = ("purple", "brown")
@@ -45,8 +44,6 @@ class BlocksState(SymbolicState):
     listing: tuple[str, ...]
     placements: tuple[tuple[str, str], ...]
 
-    env_id = "blocks"
-
     @property
     def entities(self) -> _Entities:
         """The listing's entity tables, looked up on first use."""
@@ -75,10 +72,10 @@ class BlocksState(SymbolicState):
 class BlocksEnv(Environment):
     env_id = "blocks"
     done_text = "done placing blocks"
+    state_type = BlocksState
 
     def sample_episode(self, seed: int, split: str) -> EpisodeSpec:
-        self.check_seed_split(seed, split)
-        rng = random.Random(f"blocks|{split}|{seed}")
+        rng = self._rng(seed, split)
         if split == "test-generalize":
             goal_block_color, goal_bowl_color = rng.sample(HELD_OUT_COLORS, 2)
         else:
@@ -112,15 +109,7 @@ class BlocksEnv(Environment):
             text=f"put the {goal_block_color} blocks in {goal_bowl_color} bowls",
             predicate=("blocks_in_bowls", goal_block_color, goal_bowl_color),
         )
-        return EpisodeSpec(
-            env_id=self.env_id,
-            goal=goal,
-            init_obs=self.render_observation(state),
-            init_state=state,
-            split=split,
-            seed=seed,
-            max_steps=DEFAULT_MAX_STEPS,
-        )
+        return self._episode(state, goal, split, seed)
 
     @staticmethod
     def _numbered(colors: list[str], kind: str) -> list[str]:
@@ -131,17 +120,14 @@ class BlocksEnv(Environment):
             names.append(f"{color} {kind} {counts[color]}")
         return names
 
-    def _vocabulary(self, spec: EpisodeSpec) -> list[ActionInstance]:
-        state: BlocksState = spec.init_state
-        actions = [
+    def _moves(self, state: BlocksState) -> list[ActionInstance]:
+        return [
             ActionInstance.from_text(
                 f"put {block} in {bowl}", op=("put", block, bowl)
             )
             for block in state.blocks
             for bowl in state.bowls
         ]
-        actions.append(ActionInstance.from_text(self.done_text, op=("done",), is_done=True))
-        return actions
 
     def _move_violation(self, state: BlocksState, action: ActionInstance) -> str | None:
         if action.op not in state.entities.puts:
@@ -203,15 +189,3 @@ class BlocksEnv(Environment):
         for block, bowl in state.placements:
             sentences.append(f"the {block} is in the {bowl}.")
         return " ".join(sentences)
-
-    def state_to_json(self, state: BlocksState) -> dict:
-        return {
-            "listing": list(state.listing),
-            "placements": [list(p) for p in state.placements],
-        }
-
-    def state_from_json(self, payload: dict) -> BlocksState:
-        return BlocksState(
-            listing=tuple(payload["listing"]),
-            placements=tuple(tuple(p) for p in payload["placements"]),
-        )

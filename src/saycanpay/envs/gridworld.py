@@ -8,16 +8,10 @@ are toggled open with a matching-color key, and the agent's single hand forces
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..core import ActionInstance, ContractError, GoalSpec
-from .base import (
-    DEFAULT_MAX_STEPS,
-    Environment,
-    EpisodeSpec,
-    SymbolicState,
-    breadth_first_plan,
-)
+from .base import Environment, EpisodeSpec, SymbolicState, breadth_first_plan
 
 COLORS = ("yellow", "purple", "red", "green", "blue", "grey")
 GOAL_KINDS = ("ball", "box")
@@ -36,8 +30,6 @@ class GridState(SymbolicState):
     objects: tuple[tuple[str, str, int], ...]  # (color, kind, location)
     agent_room: int
 
-    env_id = "gridworld"
-
     def __post_init__(self):
         if self.objects != tuple(sorted(self.objects)):
             raise ContractError("objects must be kept in sorted order")
@@ -50,29 +42,32 @@ class GridState(SymbolicState):
         return None
 
     def reachable_rooms(self) -> set[int]:
-        rooms = {self.agent_room}
-        changed = True
-        while changed:
-            changed = False
-            for i, (_, locked) in enumerate(self.doors):
-                if locked:
-                    continue
-                if i in rooms and i + 1 not in rooms:
-                    rooms.add(i + 1)
-                    changed = True
-                if i + 1 in rooms and i not in rooms:
-                    rooms.add(i)
-                    changed = True
-        return rooms
+        """The run of rooms around the agent's that locked doors bound."""
+        low = high = self.agent_room
+        while low > 0 and not self.doors[low - 1][1]:
+            low -= 1
+        while high < self.n_rooms - 1 and not self.doors[high][1]:
+            high += 1
+        return set(range(low, high + 1))
+
+    def door_to_open(self, color: str) -> int | None:
+        """The door a toggle with the `color` key opens: the first locked
+        `color` door next to a reachable room, or None."""
+        reachable = self.reachable_rooms()
+        return next(
+            (i for i, (c, locked) in enumerate(self.doors)
+             if c == color and locked and (i in reachable or i + 1 in reachable)),
+            None,
+        )
 
 
 class GridworldEnv(Environment):
     env_id = "gridworld"
     done_text = "done picking up"
+    state_type = GridState
 
     def sample_episode(self, seed: int, split: str) -> EpisodeSpec:
-        self.check_seed_split(seed, split)
-        rng = random.Random(f"gridworld|{split}|{seed}")
+        rng = self._rng(seed, split)
         while True:
             spec = self._draw(rng, split, seed)
             if breadth_first_plan(self, spec) is not None:
@@ -119,18 +114,9 @@ class GridworldEnv(Environment):
             text=f"pick up the {goal_color} {goal_kind}",
             predicate=("holding", goal_color, goal_kind),
         )
-        return EpisodeSpec(
-            env_id=self.env_id,
-            goal=goal,
-            init_obs=self.render_observation(state),
-            init_state=state,
-            split=split,
-            seed=seed,
-            max_steps=DEFAULT_MAX_STEPS,
-        )
+        return self._episode(state, goal, split, seed)
 
-    def _vocabulary(self, spec: EpisodeSpec) -> list[ActionInstance]:
-        state: GridState = spec.init_state
+    def _moves(self, state: GridState) -> list[ActionInstance]:
         actions = [
             ActionInstance.from_text(
                 f"pick up {color} {kind}", op=("pickup", color, kind)
@@ -142,7 +128,6 @@ class GridworldEnv(Environment):
                 ActionInstance.from_text(f"toggle {color} door", op=("toggle", color))
             )
         actions.append(ActionInstance.from_text("drop key in void", op=("drop",)))
-        actions.append(ActionInstance.from_text(self.done_text, op=("done",), is_done=True))
         return actions
 
     def _move_violation(self, state: GridState, action: ActionInstance) -> str | None:
@@ -167,11 +152,9 @@ class GridworldEnv(Environment):
                 raise ContractError(f"foreign action {action.text!r}")
             if state.carried != (color, "key"):
                 return f"the agent is not holding the {color} key"
-            reachable = state.reachable_rooms()
-            for i, (c, locked) in enumerate(state.doors):
-                if c == color and locked and (i in reachable or i + 1 in reachable):
-                    return None
-            return f"no locked {color} door is adjacent to a reachable room"
+            if state.door_to_open(color) is None:
+                return f"no locked {color} door is adjacent to a reachable room"
+            return None
         if op == "drop":
             if state.carried is None:
                 return "the agent is not holding anything"
@@ -190,37 +173,18 @@ class GridworldEnv(Environment):
                     objects.append((c, k, CARRIED))
                 else:
                     objects.append((c, k, loc))
-            return GridState(
-                n_rooms=state.n_rooms,
-                doors=state.doors,
-                objects=tuple(sorted(objects)),
-                agent_room=room,
-            )
+            return replace(state, objects=tuple(sorted(objects)), agent_room=room)
         if op == "toggle":
-            color = action.op[1]
-            reachable = state.reachable_rooms()
             doors = list(state.doors)
-            for i, (c, locked) in enumerate(state.doors):
-                if c == color and locked and (i in reachable or i + 1 in reachable):
-                    doors[i] = (c, False)
-                    break
-            return GridState(
-                n_rooms=state.n_rooms,
-                doors=tuple(doors),
-                objects=state.objects,
-                agent_room=state.agent_room,
-            )
+            i = state.door_to_open(action.op[1])
+            doors[i] = (doors[i][0], False)
+            return replace(state, doors=tuple(doors))
         # drop: the held object goes to the void for good
         objects = tuple(
             sorted((c, k, VOID if loc == CARRIED else loc)
                    for c, k, loc in state.objects)
         )
-        return GridState(
-            n_rooms=state.n_rooms,
-            doors=state.doors,
-            objects=objects,
-            agent_room=state.agent_room,
-        )
+        return replace(state, objects=objects)
 
     def is_goal(self, state, goal) -> bool:
         _, color, kind = goal.predicate
@@ -245,19 +209,3 @@ class GridworldEnv(Environment):
         if carried is not None:
             sentences.append(f"the agent carries the {carried[0]} {carried[1]}.")
         return " ".join(sentences)
-
-    def state_to_json(self, state: GridState) -> dict:
-        return {
-            "n_rooms": state.n_rooms,
-            "doors": [list(d) for d in state.doors],
-            "objects": [list(o) for o in state.objects],
-            "agent_room": state.agent_room,
-        }
-
-    def state_from_json(self, payload: dict) -> GridState:
-        return GridState(
-            n_rooms=payload["n_rooms"],
-            doors=tuple((c, bool(x)) for c, x in payload["doors"]),
-            objects=tuple(sorted((c, k, int(loc)) for c, k, loc in payload["objects"])),
-            agent_room=payload["agent_room"],
-        )

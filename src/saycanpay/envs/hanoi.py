@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from ..core import ActionInstance, ContractError, GoalSpec
-from .base import DEFAULT_MAX_STEPS, Environment, EpisodeSpec, SymbolicState
+from .base import Environment, EpisodeSpec, SymbolicState
 
 DISK_COLORS = ("blue", "gray", "green", "red")  # smallest first
 N_RODS = 3
@@ -20,8 +19,6 @@ class HanoiState(SymbolicState):
     n_disks: int
     rods: tuple[tuple[int, ...], ...]
 
-    env_id = "hanoi"
-
 
 def _rod_of(state: HanoiState, disk: int) -> int:
     return next(r for r in range(N_RODS) if disk in state.rods[r])
@@ -30,10 +27,10 @@ def _rod_of(state: HanoiState, disk: int) -> int:
 class HanoiEnv(Environment):
     env_id = "hanoi"
     done_text = "done moving disks"
+    state_type = HanoiState
 
     def sample_episode(self, seed: int, split: str) -> EpisodeSpec:
-        self.check_seed_split(seed, split)
-        rng = random.Random(f"hanoi|{split}|{seed}")
+        rng = self._rng(seed, split)
         n_disks = 4 if split == "test-generalize" else 3
         rod_of = [rng.randrange(N_RODS) for _ in range(n_disks)]
         rods = tuple(
@@ -50,28 +47,17 @@ class HanoiEnv(Environment):
             text=f"move the {DISK_COLORS[disk]} disk in rod {rod + 1}",
             predicate=("disk_on_rod", DISK_COLORS[disk], str(rod + 1)),
         )
-        return EpisodeSpec(
-            env_id=self.env_id,
-            goal=goal,
-            init_obs=self.render_observation(state),
-            init_state=state,
-            split=split,
-            seed=seed,
-            max_steps=DEFAULT_MAX_STEPS,
-        )
+        return self._episode(state, goal, split, seed)
 
-    def _vocabulary(self, spec: EpisodeSpec) -> list[ActionInstance]:
-        n_disks = spec.init_state.n_disks
-        actions = [
+    def _moves(self, state: HanoiState) -> list[ActionInstance]:
+        return [
             ActionInstance.from_text(
                 f"move the {DISK_COLORS[d]} disk in rod {r + 1}",
                 op=("move", DISK_COLORS[d], str(r + 1)),
             )
-            for d in range(n_disks)
+            for d in range(state.n_disks)
             for r in range(N_RODS)
         ]
-        actions.append(ActionInstance.from_text(self.done_text, op=("done",), is_done=True))
-        return actions
 
     def _move_violation(self, state: HanoiState, action: ActionInstance) -> str | None:
         op = action.op
@@ -119,12 +105,3 @@ class HanoiEnv(Environment):
         rod_list = ", ".join(f"rod {r + 1}" for r in range(N_RODS))
         sentences.append(f"the disks can be moved in {rod_list}.")
         return " ".join(sentences)
-
-    def state_to_json(self, state: HanoiState) -> dict:
-        return {"n_disks": state.n_disks, "rods": [list(r) for r in state.rods]}
-
-    def state_from_json(self, payload: dict) -> HanoiState:
-        return HanoiState(
-            n_disks=payload["n_disks"],
-            rods=tuple(tuple(r) for r in payload["rods"]),
-        )

@@ -23,6 +23,9 @@ from .features import DIM, HASH_SEED, PROFILES, featurize
 from .oracle import Trajectory
 
 MODEL_KINDS = ("can", "pay", "say")
+# Each kind's head, for training and for every loaded model file: Can and Pay
+# give each candidate its own sigmoid score, Say a softmax over the vocabulary.
+HEADS = {"can": "sigmoid", "pay": "sigmoid", "say": "softmax"}
 CAN_CALIBRATION_RAW = 2.197  # sigmoid(2.197) ~= 0.9
 MAX_REPLY_BYTES = 1 << 20  # an adapter reply line longer than this is refused
 
@@ -185,6 +188,8 @@ class LinearScorer:
             problem = "non-finite weights or bias"
         elif scorer.profile not in PROFILES:
             problem = f"unknown feature profile {scorer.profile!r}"
+        elif scorer.head != HEADS[scorer.kind]:
+            problem = f"{scorer.kind} head {scorer.head!r}, need {HEADS[scorer.kind]!r}"
         else:
             return scorer
         raise ModelFileError(f"bad model file {path}: {problem}")
@@ -194,7 +199,7 @@ class SayPolicy:
     """Softmax policy over an episode's action vocabulary."""
 
     def __init__(self, scorer: LinearScorer):
-        if scorer.head != "softmax":
+        if scorer.head != HEADS["say"]:
             raise ContractError("SayPolicy needs a softmax-head scorer")
         self.scorer = scorer
 
@@ -267,7 +272,7 @@ def _split_train_val(n: int, val_fraction: float, rng: np.random.Generator):
     return order[n_val:], order[:n_val]
 
 
-def _fit(kind: str, env_id: str, head: str, samples, config: TrainConfig, loss_fn):
+def _fit(kind: str, env_id: str, samples, config: TrainConfig, loss_fn):
     """Minibatch AdamW over (candidate rows, target) samples.
 
     Each sample's rows are one `featurize` result.  `loss_fn(logits, target)
@@ -285,7 +290,7 @@ def _fit(kind: str, env_id: str, head: str, samples, config: TrainConfig, loss_f
     no_decay_on_bias = np.ones(DIM + 1)
     no_decay_on_bias[-1] = 0.0
     opt = AdamW(DIM + 1, config.lr, config.weight_decay, decay_mask=no_decay_on_bias)
-    scorer = LinearScorer(kind, env_id, head=head, config=config.to_json())
+    scorer = LinearScorer(kind, env_id, head=HEADS[kind], config=config.to_json())
     row_lengths = [np.diff(rows[0]) for rows, _ in samples]
     for _ in range(config.epochs):
         order = rng.permutation(train_idx)
@@ -359,7 +364,7 @@ def train_can(samples, config: TrainConfig, env_id: str) -> LinearScorer:
         for s in samples
     ]
     scorer, params, train_idx, val_idx = _fit(
-        "can", env_id, "sigmoid", data, config, _infonce_logits
+        "can", env_id, data, config, _infonce_logits
     )
     val_metric = _can_f1(params, data, val_idx)
     # InfoNCE only constrains the ranking, so the sigmoid outputs drift toward
@@ -402,9 +407,7 @@ def train_pay(samples, config: TrainConfig, env_id: str) -> LinearScorer:
         (featurize(s.goal, s.history, [s.action]), s.target)
         for s in samples
     ]
-    scorer, params, _, val_idx = _fit(
-        "pay", env_id, "sigmoid", data, config, _mse_logits
-    )
+    scorer, params, _, val_idx = _fit("pay", env_id, data, config, _mse_logits)
     return _finish(scorer, params, _mean_loss(params, data, val_idx, _mse_logits))
 
 
@@ -422,7 +425,7 @@ def train_say(
             data.append((rows, text_to_idx[action.text]))
             history = history.extended(action)
     scorer, params, _, val_idx = _fit(
-        "say", env_id, "softmax", data, config, _softmax_xent_logits
+        "say", env_id, data, config, _softmax_xent_logits
     )
     return SayPolicy(
         _finish(scorer, params, _mean_loss(params, data, val_idx, _softmax_xent_logits))
@@ -472,9 +475,11 @@ def external_say(
             raise ValueError(f"{len(candidates)} candidates, at most m={m} allowed")
         out = []
         for cand in candidates:
+            if not isinstance(cand["text"], str):
+                raise ValueError(f"candidate text is not a string in {cand!r}")
             logprobs = [cand["logprob"], *cand["token_logprobs"]]
-            if not all(math.isfinite(lp) for lp in logprobs):
-                raise ValueError(f"non-finite log-probability in {cand!r}")
+            if not all(math.isfinite(lp) and lp <= 0 for lp in logprobs):
+                raise ValueError(f"log-probability not finite and <= 0 in {cand!r}")
             out.append((cand["text"], math.exp(cand["logprob"])))
         return out
     except (OSError, ValueError, KeyError, TypeError) as exc:

@@ -1,12 +1,21 @@
 """Command-line interface: subcommands, precedence, determinism, exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from saycanpay import cli
 
 
 def run_cli(*args, env=None, cwd=None):
@@ -225,6 +234,27 @@ class TestExitCodes:
             assert proc.returncode == 2
             assert "hanoi_say_seed0.json" in proc.stderr
 
+    def test_a_model_file_whose_head_misfits_its_kind_returns_two(
+        self, tiny_data_dir, tiny_model_dir, tmp_path
+    ):
+        """A say file with a sigmoid head is a bad model file: a runtime
+        error that names the file, not a usage error."""
+        for kind in ("can", "pay", "say"):
+            name = f"hanoi_{kind}_seed0.json"
+            payload = json.loads((tiny_model_dir / name).read_text())
+            if kind == "say":
+                payload["config"]["head"] = "sigmoid"
+            (tmp_path / name).write_text(json.dumps(payload))
+        proc = run_cli(
+            "eval", "--env", "hanoi", "--data", str(tiny_data_dir), "--models",
+            str(tmp_path), "--out", str(tmp_path / "out"), "--jobs", "1",
+        )
+        assert proc.returncode == 2, proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "hanoi_say_seed0.json" in errors[0] and "head 'sigmoid'" in errors[0]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["plan", "eval"])
     def test_greedy_token_needs_a_full_distribution(
         self, tiny_data_dir, tmp_path, command
@@ -326,3 +356,99 @@ class TestExitCodes:
     )
     def test_ignored_flags_are_gone(self, flags):
         assert run_cli(*flags).returncode == 1
+
+
+def _command_flags():
+    """Each subcommand's long flags, without their dashes."""
+    sub = next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: {o[2:] for a in parser._actions for o in a.option_strings if o[:2] == "--"}
+        for name, parser in sub.choices.items()
+    }
+
+
+COMMAND_FLAGS = _command_flags()
+PATH_OPTIONS = ("data", "models", "out")
+
+
+def _bad_values(key):
+    """Pairs (flag text, config value) that option `key` must refuse; the
+    flag text is None where every text is a valid flag value."""
+    default, checks = cli.OPTIONS[key]
+    number, choices = checks.get("type"), checks.get("choices")
+    not_null = () if default is None else (None,)
+    if choices is not None:
+        word = st.text("abcdexyz_", min_size=1, max_size=10).filter(
+            lambda w: w not in choices
+        )
+        wrong = st.sampled_from((1, 2.5, True, ["hanoi"], *not_null))
+        return st.tuples(word, st.one_of(word, wrong))
+    if number is None:  # a free string: only a config value can be wrong
+        wrong = st.sampled_from((3, 1.5, True, ["x"], {"a": 1}, *not_null))
+        return st.tuples(st.none(), wrong)
+    if number.kind is int:
+        below = st.integers(-(10**6), number.low - 1).map(lambda v: (str(v), v))
+        wrong_type = st.sampled_from(
+            [("abc", "3"), ("1.5", 1.5), ("2e0", True), ("x", [1])]
+            + [("y", v) for v in not_null]
+        )
+    else:
+        below = st.floats(
+            -1e6, number.low, exclude_max=not number.low_open
+        ).map(lambda v: (repr(v), v))
+        wrong_type = st.sampled_from(
+            [("abc", "0.5"), ("1,5", True), ("x", [0.5])]
+            + [("y", v) for v in not_null]
+        )
+    cases = [below, wrong_type, st.sampled_from(
+        [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)]
+    )]
+    if number.high < math.inf:
+        cases.append(
+            st.floats(number.high, 1e6, exclude_min=True).map(lambda v: (repr(v), v))
+        )
+    return st.one_of(cases)
+
+
+def _main_in_process(argv):
+    """cli.main's exit code and stderr for `argv`, run in this process."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_bad_option_value_exits_one_before_any_write(data):
+    """Any option of cli.OPTIONS given a value outside its type, bound or
+    choices, as a flag or in a --config file, exits 1 with one error line
+    that names the option, and writes nothing."""
+    key = data.draw(st.sampled_from(sorted(cli.OPTIONS)), label="option")
+    flag = key.replace("_", "-")
+    command = next(c for c, flags in COMMAND_FLAGS.items() if flag in flags)
+    text, value = data.draw(_bad_values(key), label="flag text, config value")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        base = [command, *(["beam-size"] if command == "ablate" else [])] + [
+            f"--{name}={tmp / name}"
+            for name in PATH_OPTIONS
+            if name != flag and name in COMMAND_FLAGS[command]
+        ]
+        config = tmp / "conf.json"
+        config.write_text(json.dumps({key: value}))
+        runs = [([*base, "--config", str(config)], f"'{key}'")]
+        if text is not None:
+            runs.append(([*base, f"--{flag}={text}"], f"--{flag}"))
+        for argv, named in runs:
+            code, stderr = _main_in_process(argv)
+            assert code == 1, (argv, stderr)
+            errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+            assert len(errors) == 1 and named in errors[0], (argv, stderr)
+            assert os.listdir(tmp) == ["conf.json"]

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from saycanpay.core import ContractError, History
+from saycanpay.core import ContractError, DataFileError, History
 from saycanpay.data import (
     generate_dataset,
     generate_split,
@@ -45,13 +45,21 @@ def test_generation_is_deterministic(env_id):
 
 # sha256 of write_trajectories(generate_split(env, split, 30, 0)): a change to
 # BFS expansion order, to sampling or to the row format changes these bytes.
+# test-generalize draws what the other splits never do: 4 disks, held-out
+# colours and 4 rooms.
 GOLDEN_SPLIT_SHA256 = {
     ("hanoi", "train"): "629d305196c33e794152af95dc8f8ab466f4a6144dab68b7daa7fe248871c735",
     ("hanoi", "test"): "a451947a118bc8eeb40c69fa187977d3e4b6b984227139a167c9175a8b8b5782",
+    ("hanoi", "test-generalize"):
+        "4c17c956a6b39695a7cd70483233a1a440a976410334218e79284a13e777c609",
     ("blocks", "train"): "534756173e2aa5c7585dcb1ba969e9c3713bf551bf4d166998ed64d09a1a6328",
     ("blocks", "test"): "8a99f2ac515bc1c122b005272f3606ad9608be4072bf66c34163b76b55bf41e0",
+    ("blocks", "test-generalize"):
+        "573af3c5ce6d972a2b806706e3bc36110657fdcd49d492396fb5347964dc6333",
     ("gridworld", "train"): "7bea659242bc1f1637d07347cc012e5b7bb34725b8092583680ab79136599e3b",
     ("gridworld", "test"): "2fcf86635df72ce689844e48d0f5890ea37e4f3fdab8125675557783c4bc291f",
+    ("gridworld", "test-generalize"):
+        "f1bc044f50f44cb6cc45d05bb2431acde2d8db2299dbe9639fccdbf5b8d6f954",
 }
 
 
@@ -90,6 +98,22 @@ def test_rows_roundtrip_and_replay(env_id, small_sets, tmp_path):
             assert env.precondition_holds(state, traj.episode.goal, action)
             state = env.step(state, traj.episode.goal, action)
         assert env.is_goal(state, traj.episode.goal)
+
+
+def test_unsorted_gridworld_objects_are_a_malformed_line(small_sets, tmp_path):
+    """A stored state is read as it is: a gridworld row whose objects are out
+    of order fails GridState's check, and the error names the line."""
+    env = get_env("gridworld")
+    path = tmp_path / "gridworld.jsonl"
+    write_trajectories(env, small_sets["gridworld"]["train"], path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    number = next(
+        n for n, row in enumerate(rows, start=1) if len(row["init_state"]["objects"]) > 1
+    )
+    rows[number - 1]["init_state"]["objects"].reverse()
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(DataFileError, match=f"line {number}:.*sorted order"):
+        read_trajectories(env, path)
 
 
 def test_jsonl_schema_and_sorted_order(small_sets, tmp_path):

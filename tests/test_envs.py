@@ -428,6 +428,62 @@ def test_step_keeps_state_invariants(env_id, seed, split, choices):
             _check_transition(env_id, state, action, nxt)
 
 
+def _fixpoint_reachable_rooms(state):
+    """Reference: grow the agent's room set through open doors until it stops."""
+    rooms = {state.agent_room}
+    changed = True
+    while changed:
+        changed = False
+        for i, (_, locked) in enumerate(state.doors):
+            if locked:
+                continue
+            if i in rooms and i + 1 not in rooms:
+                rooms.add(i + 1)
+                changed = True
+            if i + 1 in rooms and i not in rooms:
+                rooms.add(i)
+                changed = True
+    return rooms
+
+
+def _reference_toggle(state, color):
+    """Reference door rule: the doors after toggling with the `color` key (the
+    first locked `color` door next to a reachable room opens), or None when
+    no such door exists."""
+    reachable = _fixpoint_reachable_rooms(state)
+    doors = list(state.doors)
+    for i, (c, locked) in enumerate(state.doors):
+        if c == color and locked and (i in reachable or i + 1 in reachable):
+            doors[i] = (c, False)
+            return tuple(doors)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(**{name: value for name, value in _walks.items() if name != "env_id"})
+def test_gridworld_door_rule_matches_the_fixpoint_reference(seed, split, choices):
+    """On reachable gridworld states, the reachable rooms, each door colour's
+    toggle target and every toggle's feasibility and successor equal those
+    of the fixpoint loop and door rule kept here as the reference."""
+    env = get_env("gridworld")
+    for spec, state, _, nxt in _random_walk("gridworld", seed, split, choices):
+        for s in (state, nxt) if nxt is not None else (state,):
+            assert s.reachable_rooms() == _fixpoint_reachable_rooms(s)
+            for action in env.admissible_actions(spec):
+                if action.op[0] != "toggle":
+                    continue
+                color = action.op[1]
+                expected = _reference_toggle(s, color)
+                opened = s.door_to_open(color)
+                assert (opened is None) == (expected is None)
+                holding = s.carried == (color, "key")
+                assert env.precondition_holds(s, spec.goal, action) == (
+                    holding and expected is not None
+                )
+                if holding and expected is not None:
+                    assert env.step(s, spec.goal, action).doors == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     env_id=st.sampled_from(ENV_IDS),

@@ -236,6 +236,7 @@ class TestLinearScorer:
             {"profile": "fancy"},
             {"kind": "pray"},
             {"hash_seed": 1},
+            {"config": {"head": "softmax"}},  # a can model needs a sigmoid head
         ],
     )
     def test_load_rejects_a_bad_file(self, tmp_path, change):
@@ -558,6 +559,13 @@ class TestExternalSay:
             {"candidates": [{"text": "go", "logprob": 0.0,
                              "token_logprobs": [0.0]}] * 2},
             {"candidates": [], "padding": "x" * MAX_REPLY_BYTES},
+            # a log-probability above 0, which exp would overflow at 1000
+            {"candidates": [{"text": "go", "logprob": 1000.0,
+                             "token_logprobs": [0.0]}]},
+            {"candidates": [{"text": "go", "logprob": -1.0,
+                             "token_logprobs": [0.5]}]},
+            {"candidates": [{"text": 7, "logprob": 0.0,
+                             "token_logprobs": [0.0]}]},
         ):
             server = _FakeProposerServer(payload)
             with pytest.raises(AdapterError):
