@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -187,11 +188,13 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    """Train each kind, writing its model file and, next to it, a
+    `<model>.train.json` sidecar of how it converged and what it read."""
     opts = _resolve(args)
     env = get_env(opts["env"])
-    trajectories = read_trajectories(
-        env, split_path(Path(opts["data"]), opts["env"], "train")
-    )
+    split = split_path(Path(opts["data"]), opts["env"], "train")
+    trajectories = read_trajectories(env, split)
+    split_sha256 = hashlib.sha256(split.read_bytes()).hexdigest()
     config = TrainConfig(
         lr=opts["lr"], weight_decay=opts["wd"], batch_size=opts["batch"],
         epochs=opts["epochs"], seed=opts["seed"],
@@ -210,6 +213,14 @@ def cmd_train(args) -> int:
         scorer = model.scorer if kind == "say" else model
         path = store.path(opts["env"], kind, opts["seed"])
         scorer.save(path)
+        sidecar = {
+            "epoch_losses": scorer.epoch_losses, "val_metric": scorer.val_metric,
+            "samples": scorer.n_samples, "config": config.to_json(),
+            "split": split.name, "split_sha256": split_sha256,
+        }
+        path.with_suffix(".train.json").write_text(
+            json.dumps(sidecar, indent=1) + "\n", encoding="utf-8"
+        )
         print(f"{opts['env']} {kind}: val_metric={scorer.val_metric:.4f} -> {path}")
     return EXIT_OK
 

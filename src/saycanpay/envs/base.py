@@ -127,10 +127,21 @@ class Environment(ABC):
         return {f.name: getattr(state, f.name) for f in fields(state)}
 
     def state_from_json(self, payload: dict) -> SymbolicState:
-        """The state a `state_to_json` payload holds, its lists as tuples."""
-        return self.state_type(
+        """The state a `state_to_json` payload holds, its lists as tuples;
+        one the env's state rule refuses raises ContractError."""
+        state = self.state_type(
             **{f.name: _tuples(payload[f.name]) for f in fields(self.state_type)}
         )
+        problem = self._state_violation(state)
+        if problem is not None:
+            raise ContractError(f"impossible {self.env_id} state: {problem}")
+        return state
+
+    def _state_violation(self, state: SymbolicState) -> str | None:
+        """What makes a stored `state` impossible, or None. Checked where
+        split rows are read, not on the successors the env builds itself;
+        the default accepts every state."""
+        return None
 
     def admissible_actions(self, spec: EpisodeSpec) -> list[ActionInstance]:
         """Episode-level action vocabulary (feasible and otherwise), sorted:

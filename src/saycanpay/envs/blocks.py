@@ -129,6 +129,16 @@ class BlocksEnv(Environment):
             for bowl in state.bowls
         ]
 
+    def _state_violation(self, state: BlocksState) -> str | None:
+        placements = state.placements
+        if any(("put", *pair) not in state.entities.puts for pair in placements):
+            return f"a placement of {placements} is not a listed block in a listed bowl"
+        if list(placements) != sorted(placements):
+            return f"placements {placements} are not sorted"
+        if len({block for block, _ in placements}) != len(placements):
+            return f"a block is placed twice in {placements}"
+        return None
+
     def _move_violation(self, state: BlocksState, action: ActionInstance) -> str | None:
         if action.op not in state.entities.puts:
             raise ContractError(f"foreign action {action.text!r}")

@@ -116,6 +116,18 @@ class GridworldEnv(Environment):
         )
         return self._episode(state, goal, split, seed)
 
+    def _state_violation(self, state: GridState) -> str | None:
+        rooms = range(state.n_rooms)
+        if len(state.doors) != state.n_rooms - 1 or state.agent_room not in rooms:
+            return (f"agent in room {state.agent_room} of {state.n_rooms} rooms "
+                    f"joined by {len(state.doors)} doors")
+        places = [loc for _, _, loc in state.objects]
+        if places.count(CARRIED) > 1 or any(
+            loc not in rooms and loc not in (CARRIED, VOID) for loc in places
+        ):
+            return f"objects {state.objects} are not in a room, the hand or the void"
+        return None
+
     def _moves(self, state: GridState) -> list[ActionInstance]:
         actions = [
             ActionInstance.from_text(

@@ -49,6 +49,16 @@ class HanoiEnv(Environment):
         )
         return self._episode(state, goal, split, seed)
 
+    def _state_violation(self, state: HanoiState) -> str | None:
+        n = state.n_disks
+        if not 1 <= n <= len(DISK_COLORS) or len(state.rods) != N_RODS:
+            return f"{n} disks on {len(state.rods)} rods"
+        if sorted(d for rod in state.rods for d in rod) != list(range(n)):
+            return f"rods {state.rods} do not hold each disk 0..{n - 1} once"
+        if any(list(rod) != sorted(rod, reverse=True) for rod in state.rods):
+            return f"a rod of {state.rods} is not descending from bottom to top"
+        return None
+
     def _moves(self, state: HanoiState) -> list[ActionInstance]:
         return [
             ActionInstance.from_text(

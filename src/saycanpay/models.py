@@ -6,6 +6,7 @@ import json
 import math
 import socket
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -76,33 +77,30 @@ def mse_loss(pred: float, target: float) -> tuple[float, float]:
 
 
 class AdamW:
-    """Decoupled weight decay Adam over a flat parameter vector."""
+    """Decoupled weight decay Adam over a flat parameter vector, updated in
+    place through two scratch arrays in the textbook order of operations."""
 
     def __init__(self, n_params: int, lr: float, weight_decay: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  decay_mask: np.ndarray | None = None):
-        self.lr = lr
-        self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = np.zeros(n_params)
-        self.v = np.zeros(n_params)
-        self.t = 0
-        self.decay_mask = (
-            np.ones(n_params) if decay_mask is None else decay_mask.astype(float)
-        )
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m, self.v, self.t = np.zeros(n_params), np.zeros(n_params), 0
+        mask = np.ones(n_params) if decay_mask is None else decay_mask.astype(float)
+        self.decay = weight_decay * mask
+        self._a, self._b = np.empty(n_params), np.empty(n_params)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1**self.t)
-        v_hat = self.v / (1 - self.beta2**self.t)
-        params -= self.lr * (
-            m_hat / (np.sqrt(v_hat) + self.eps)
-            + self.weight_decay * self.decay_mask * params
-        )
+        a, b = self._a, self._b
+        self.m *= self.beta1  # m = beta1 * m + (1 - beta1) * grad
+        self.m += np.multiply(1 - self.beta1, grad, out=a)
+        self.v *= self.beta2  # v = beta2 * v + (1 - beta2) * grad * grad
+        self.v += np.multiply(np.multiply(1 - self.beta2, grad, out=a), grad, out=a)
+        np.divide(self.m, 1 - self.beta1**self.t, out=a)  # m_hat
+        np.divide(self.v, 1 - self.beta2**self.t, out=b)  # v_hat
+        a /= np.add(np.sqrt(b, out=b), self.eps, out=b)
+        a += np.multiply(self.decay, params, out=b)
+        params -= np.multiply(self.lr, a, out=a)
 
 
 class LinearScorer:
@@ -124,10 +122,12 @@ class LinearScorer:
         self.bias = 0.0
         self.val_metric: float | None = None
         self.epoch_losses: list[float] = []
+        self.n_samples = 0  # training samples (train and validation) seen by `train`
 
     def logits(self, rows) -> list[float]:
         """Raw score of each CSR row `(indptr, indices, values)` of `featurize`."""
-        return _row_logits(self.weights, self.bias, rows)
+        indptr, indices, values = rows
+        return _row_dots(self.weights[indices], values, indptr.tolist(), self.bias)
 
     def score(
         self, goal: GoalSpec, history: History, actions: list[ActionInstance]
@@ -251,19 +251,37 @@ def perfect_say(
 # training
 
 
-def _row_logits(weights: np.ndarray, bias: float, rows) -> list[float]:
-    """Raw score of each CSR row: one gather, then one dot per row.
-
-    A 1-D float64 dot is BLAS ddot, and trained models depend on its
-    rounding, so the rows are not summed by one vectorized call.
-    """
-    indptr, indices, values = rows
-    gathered = weights[indices]
-    bounds = indptr.tolist()
+def _row_dots(gathered: np.ndarray, values: np.ndarray, bounds: list[int], bias):
+    """Raw score of each row [s, e) of `bounds`: one BLAS ddot per row, whose
+    rounding trained models depend on, so no vectorized call sums the rows."""
     return [
         float(gathered[s:e].dot(values[s:e])) + bias
         for s, e in zip(bounds, bounds[1:])
     ]
+
+
+def _compact(rows):
+    """`featurize` rows as training stores them: (row lengths, int16 buckets,
+    float32 values), 6 bytes per nonzero.  Both narrowings are exact for
+    buckets below DIM and counts times a power-of-two scale, and checked."""
+    indptr, indices, values = rows
+    buckets, narrow = indices.astype(np.int16), values.astype(np.float32)
+    if not (np.array_equal(buckets, indices) and np.array_equal(narrow, values)):
+        raise ContractError("training rows need int16 buckets and float32 values")
+    return np.diff(indptr), buckets, narrow
+
+
+def _batch_logits(params: np.ndarray, samples, batch):
+    """Each sample's raw scores, from the minibatch's rows assembled once (one
+    concatenation per field, one widening, one gather); also returns those
+    rows' lengths, buckets and values for the gradient."""
+    rows = [samples[i][0] for i in batch]
+    lengths = np.concatenate([r[0] for r in rows])
+    buckets = np.concatenate([r[1] for r in rows])
+    values = np.concatenate([r[2] for r in rows], dtype=np.float64)
+    z = _row_dots(params[buckets], values, [0, *accumulate(lengths.tolist())], params[-1])
+    cuts = [0, *accumulate(len(r[0]) for r in rows)]
+    return [z[s:e] for s, e in zip(cuts, cuts[1:])], lengths, buckets, values
 
 
 def _split_train_val(n: int, val_fraction: float, rng: np.random.Generator):
@@ -273,14 +291,13 @@ def _split_train_val(n: int, val_fraction: float, rng: np.random.Generator):
 
 
 def _fit(kind: str, env_id: str, samples, config: TrainConfig, loss_fn):
-    """Minibatch AdamW over (candidate rows, target) samples.
+    """Minibatch AdamW over (compact candidate rows, target) samples.
 
-    Each sample's rows are one `featurize` result.  `loss_fn(logits, target)
-    -> (loss, dlogits)` gets one raw score per row.  A minibatch gradient is
-    one `bincount` over the batch's (sample, row)-ordered buckets, with the
-    bias as bucket DIM.  Returns the scorer (epoch losses filled in), the
-    trained parameters (weights, then the bias), and the train/validation
-    indices.
+    `loss_fn(logits, target) -> (loss, dlogits)` gets one raw score per row.
+    A minibatch gradient is one `bincount` over the batch's (sample,
+    row)-ordered buckets, with the bias as bucket DIM.  Returns the scorer
+    (epoch losses filled in), the trained parameters (weights, then the
+    bias), and the train/validation indices.
     """
     if not samples:
         raise ContractError("empty dataset")
@@ -291,26 +308,19 @@ def _fit(kind: str, env_id: str, samples, config: TrainConfig, loss_fn):
     no_decay_on_bias[-1] = 0.0
     opt = AdamW(DIM + 1, config.lr, config.weight_decay, decay_mask=no_decay_on_bias)
     scorer = LinearScorer(kind, env_id, head=HEADS[kind], config=config.to_json())
-    row_lengths = [np.diff(rows[0]) for rows, _ in samples]
+    scorer.n_samples = len(samples)
     for _ in range(config.epochs):
         order = rng.permutation(train_idx)
         losses = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            buckets, values, lengths, dz_rows = [], [], [], []
-            for i in batch:
-                rows, target = samples[i]
-                loss, dz = loss_fn(_row_logits(params, params[-1], rows), target)
-                losses.append(loss)
-                dz_rows.append(dz)
-                buckets.append(rows[1])
-                values.append(rows[2])
-                lengths.append(row_lengths[i])
-            dz_rows = np.concatenate(dz_rows)
-            buckets.append(np.full(len(dz_rows), DIM))
-            weights = np.concatenate(values) * np.repeat(dz_rows, np.concatenate(lengths))
+            z, lengths, buckets, values = _batch_logits(params, samples, batch)
+            out = [loss_fn(z_i, samples[i][1]) for z_i, i in zip(z, batch)]
+            losses += [loss for loss, _ in out]
+            dz_rows = np.concatenate([dz for _, dz in out])
             grad = np.bincount(
-                np.concatenate(buckets), np.concatenate([weights, dz_rows]),
+                np.concatenate([buckets, np.full(len(dz_rows), DIM, buckets.dtype)]),
+                np.concatenate([values * np.repeat(dz_rows, lengths), dz_rows]),
                 minlength=DIM + 1,
             )
             grad /= len(batch)
@@ -320,21 +330,6 @@ def _fit(kind: str, env_id: str, samples, config: TrainConfig, loss_fn):
             raise TrainingDivergedError(f"epoch loss {avg}")
         scorer.epoch_losses.append(avg)
     return scorer, params, train_idx, val_idx
-
-
-def _finish(scorer: LinearScorer, params: np.ndarray, val_metric: float):
-    scorer.weights = params[:-1].copy()
-    scorer.bias = float(params[-1])
-    scorer.val_metric = val_metric
-    return scorer
-
-
-def _mean_loss(params, samples, indices, loss_fn) -> float:
-    losses = [
-        loss_fn(_row_logits(params, params[-1], samples[i][0]), samples[i][1])[0]
-        for i in indices
-    ]
-    return float(np.mean(losses)) if len(indices) else 0.0
 
 
 def _infonce_logits(z, _target):
@@ -357,34 +352,13 @@ def _softmax_xent_logits(z, target):
     return -math.log(max(p[target], 1e-300)), dz
 
 
-def train_can(samples, config: TrainConfig, env_id: str) -> LinearScorer:
-    """InfoNCE training of the feasibility scorer on (pos, neg, neg) triples."""
-    data = [
-        (featurize(s.goal, s.history, [s.positive, s.neg_same, s.neg_cross]), None)
-        for s in samples
-    ]
-    scorer, params, train_idx, val_idx = _fit(
-        "can", env_id, data, config, _infonce_logits
-    )
-    val_metric = _can_f1(params, data, val_idx)
-    # InfoNCE only constrains the ranking, so the sigmoid outputs drift toward
-    # zero for every candidate.  Shift the bias (ranking-preserving, hence
-    # after the validation metric) so the 20th-percentile training positive
-    # lands at ~0.9; nearly all feasible actions then contribute ln p_can near
-    # zero while vetoed actions stay strongly negative.
-    pos_raws = sorted(_row_logits(params, params[-1], data[i][0])[0] for i in train_idx)
-    if pos_raws:
-        anchor = pos_raws[len(pos_raws) // 5]
-        params[-1] += CAN_CALIBRATION_RAW - anchor
-    return _finish(scorer, params, val_metric)
-
-
-def _can_f1(params, data, val_idx) -> float:
-    """F1 where a candidate is predicted positive when it holds at least half
-    of its triple's score mass (only the max-scoring candidate can)."""
+def _can_f1(logits) -> float:
+    """F1 over the validation triples' raw scores, where a candidate is
+    predicted positive when it holds at least half of its triple's score mass
+    (only the max-scoring candidate can)."""
     tp = fp = fn = 0
-    for i in val_idx:
-        scores = [sigmoid(z) for z in _row_logits(params, params[-1], data[i][0])]
+    for z in logits:
+        scores = [sigmoid(v) for v in z]
         total = sum(scores)
         best = max(range(len(scores)), key=lambda j: scores[j])
         if scores[best] / total < 0.5:
@@ -401,46 +375,65 @@ def _can_f1(params, data, val_idx) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def train_pay(samples, config: TrainConfig, env_id: str) -> LinearScorer:
-    """MSE training of the sigmoid-bounded payoff regressor."""
-    data = [
-        (featurize(s.goal, s.history, [s.action]), s.target)
-        for s in samples
-    ]
-    scorer, params, _, val_idx = _fit("pay", env_id, data, config, _mse_logits)
-    return _finish(scorer, params, _mean_loss(params, data, val_idx, _mse_logits))
-
-
-def train_say(
-    trajectories: list[Trajectory], config: TrainConfig, env_id: str, env
-) -> SayPolicy:
-    """Full-softmax cross-entropy over each episode's vocabulary."""
-    data = []  # (vocabulary rows, target index)
+def _say_samples(trajectories: list[Trajectory], env):
+    """(compact vocabulary rows, target index) of each expert step."""
     for traj in trajectories:
         vocab = env.admissible_actions(traj.episode)
         text_to_idx = {a.text: i for i, a in enumerate(vocab)}
         history = History(traj.episode.init_obs)
         for action in traj.actions:
             rows = featurize(traj.episode.goal, history, vocab, profile="plain")
-            data.append((rows, text_to_idx[action.text]))
+            yield _compact(rows), text_to_idx[action.text]
             history = history.extended(action)
-    scorer, params, _, val_idx = _fit(
-        "say", env_id, data, config, _softmax_xent_logits
-    )
-    return SayPolicy(
-        _finish(scorer, params, _mean_loss(params, data, val_idx, _softmax_xent_logits))
-    )
 
 
 def train(model_kind: str, dataset, config: TrainConfig, env_id: str, env=None):
-    """Train one scorer; dataset type depends on the kind (samples or trajectories)."""
+    """Train one scorer: Can by InfoNCE over (pos, neg, neg) triples of Can
+    samples, Pay by the MSE of its sigmoid-bounded payoff over Pay samples,
+    and Say (a SayPolicy) by full-softmax cross-entropy over each episode's
+    vocabulary along the `dataset` trajectories.  Each sample's `featurize`
+    rows are narrowed by `_compact` as soon as they are built."""
+    if model_kind not in MODEL_KINDS:
+        raise ContractError(f"unknown model kind {model_kind!r}")
     if model_kind == "can":
-        return train_can(dataset, config, env_id)
-    if model_kind == "pay":
-        return train_pay(dataset, config, env_id)
-    if model_kind == "say":
-        return train_say(dataset, config, env_id, env)
-    raise ContractError(f"unknown model kind {model_kind!r}")
+        data = [
+            (_compact(featurize(s.goal, s.history, [s.positive, s.neg_same, s.neg_cross])),
+             None)
+            for s in dataset
+        ]
+        loss_fn = _infonce_logits
+    elif model_kind == "pay":
+        data = [
+            (_compact(featurize(s.goal, s.history, [s.action])), s.target) for s in dataset
+        ]
+        loss_fn = _mse_logits
+    else:
+        data = list(_say_samples(dataset, env))
+        loss_fn = _softmax_xent_logits
+    scorer, params, train_idx, val_idx = _fit(model_kind, env_id, data, config, loss_fn)
+
+    def logits(indices) -> list[list[float]]:
+        """Raw scores of each indexed sample, assembled a minibatch at a time."""
+        size = config.batch_size
+        return [z for s in range(0, len(indices), size)
+                for z in _batch_logits(params, data, indices[s : s + size])[0]]
+
+    if model_kind == "can":
+        scorer.val_metric = _can_f1(logits(val_idx))
+        # InfoNCE only constrains the ranking, so the sigmoid outputs drift
+        # toward zero for every candidate.  Shift the bias (ranking-preserving,
+        # hence after the validation metric) so the 20th-percentile training
+        # positive lands at ~0.9; nearly all feasible actions then contribute
+        # ln p_can near zero while vetoed actions stay strongly negative.
+        pos_raws = sorted(z[0] for z in logits(train_idx))
+        if pos_raws:
+            params[-1] += CAN_CALIBRATION_RAW - pos_raws[len(pos_raws) // 5]
+    else:
+        losses = [loss_fn(z, data[i][1])[0] for z, i in zip(logits(val_idx), val_idx)]
+        scorer.val_metric = float(np.mean(losses)) if len(val_idx) else 0.0
+    scorer.weights = params[:-1].copy()
+    scorer.bias = float(params[-1])
+    return SayPolicy(scorer) if model_kind == "say" else scorer
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -155,6 +156,27 @@ class TestTrainPlanEval:
         for kind in ("can", "pay", "say"):
             assert (tmp_path / f"hanoi_{kind}_seed0.json").exists()
         assert "val_metric" in proc.stdout
+
+    def test_train_writes_a_sidecar_next_to_each_model(self, tiny_data_dir, tmp_path):
+        proc = run_cli(
+            "train", "--env", "gridworld", "--data", str(tiny_data_dir),
+            "--models", str(tmp_path), "--epochs", "3", "--batch", "16",
+        )
+        assert proc.returncode == 0, proc.stderr
+        split = tiny_data_dir / "gridworld_train.jsonl"
+        for kind in ("can", "pay", "say"):
+            model = json.loads((tmp_path / f"gridworld_{kind}_seed0.json").read_text())
+            sidecar = json.loads(
+                (tmp_path / f"gridworld_{kind}_seed0.train.json").read_text()
+            )
+            assert sidecar["val_metric"] == model["val_metric"]
+            assert len(sidecar["epoch_losses"]) == 3
+            assert all(math.isfinite(loss) for loss in sidecar["epoch_losses"])
+            assert sidecar["samples"] > 0
+            assert sidecar["config"]["epochs"] == 3
+            assert sidecar["config"]["batch_size"] == 16
+            assert sidecar["split"] == split.name
+            assert sidecar["split_sha256"] == hashlib.sha256(split.read_bytes()).hexdigest()
 
     def test_plan_with_oracle_backends(self, tiny_data_dir):
         proc = run_cli(
@@ -343,6 +365,25 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "hanoi_test.jsonl" in proc.stderr
         assert named in proc.stderr
+
+    def test_a_hanoi_row_missing_a_disk_returns_two_naming_the_line(
+        self, tiny_data_dir, tmp_path
+    ):
+        lines = (tiny_data_dir / "hanoi_test.jsonl").read_text().splitlines()
+        row = json.loads(lines[1])
+        next(rod for rod in row["init_state"]["rods"] if rod).pop()
+        lines[1] = json.dumps(row)
+        (tmp_path / "hanoi_test.jsonl").write_text("\n".join(lines) + "\n")
+        proc = run_cli(
+            "plan", "--env", "hanoi", "--backend-say", "perfect-say",
+            "--backend-can", "oracle", "--backend-pay", "oracle",
+            "--data", str(tmp_path), "--models", str(tmp_path),
+        )
+        assert proc.returncode == 2
+        errors = proc.stderr.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert "hanoi_test.jsonl line 2:" in errors[0]
+        assert "each disk" in errors[0]
 
     @pytest.mark.parametrize(
         "flags",

@@ -116,6 +116,76 @@ def test_unsorted_gridworld_objects_are_a_malformed_line(small_sets, tmp_path):
         read_trajectories(env, path)
 
 
+def _pop_a_disk(state):
+    rod = next(r for r in state["rods"] if r)
+    rod.pop()
+
+
+def _flip_a_rod(state):
+    rod = next(r for r in state["rods"] if len(r) > 1)
+    rod.reverse()
+
+
+def _blocks_and_bowls(state):
+    listing = state["listing"]
+    blocks = sorted(e for e in listing if " block " in f" {e} ")
+    return blocks, sorted(e for e in listing if " bowl " in f" {e} ")
+
+
+def _move_the_agent_outside(state):
+    state["agent_room"] = state["n_rooms"]
+
+
+def _put_an_object_outside(state):
+    state["objects"][0][2] = state["n_rooms"]
+
+
+def _place_twice(state):
+    blocks, bowls = _blocks_and_bowls(state)
+    state["placements"] = [[blocks[0], bowls[0]], [blocks[0], bowls[1]]]
+
+
+def _place_unsorted(state):
+    blocks, bowls = _blocks_and_bowls(state)
+    state["placements"] = [[blocks[1], bowls[0]], [blocks[0], bowls[0]]]
+
+
+def _place_an_unlisted_block(state):
+    _, bowls = _blocks_and_bowls(state)
+    state["placements"] = [["pink block 9", bowls[0]]]
+
+
+@pytest.mark.parametrize(
+    "env_id, corrupt, named",
+    [
+        ("hanoi", _pop_a_disk, "each disk"),
+        ("hanoi", _flip_a_rod, "not descending"),
+        ("blocks", _place_twice, "placed twice"),
+        ("blocks", _place_unsorted, "not sorted"),
+        ("blocks", _place_an_unlisted_block, "not a listed block"),
+        ("gridworld", _move_the_agent_outside, "agent in room"),
+        ("gridworld", _put_an_object_outside, "not in a room"),
+    ],
+)
+def test_an_impossible_stored_state_is_a_malformed_line(
+    env_id, corrupt, named, small_sets, tmp_path
+):
+    """A row whose state breaks the env's state rule is refused where the
+    split is read, and the error names its line."""
+    env = get_env(env_id)
+    path = tmp_path / f"{env_id}.jsonl"
+    write_trajectories(env, small_sets[env_id]["train"], path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    number = next(
+        n for n, row in enumerate(rows, start=1)
+        if env_id != "hanoi" or any(len(rod) > 1 for rod in row["init_state"]["rods"])
+    )
+    corrupt(rows[number - 1]["init_state"])
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(DataFileError, match=f"line {number}:.*{named}"):
+        read_trajectories(env, path)
+
+
 def test_jsonl_schema_and_sorted_order(small_sets, tmp_path):
     env = get_env("blocks")
     path = tmp_path / "rows.jsonl"

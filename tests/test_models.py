@@ -192,6 +192,30 @@ class TestAdamW:
         assert params[0] < 1.0
         assert params[1] == 1.0
 
+    def test_in_place_step_is_bit_identical_to_the_textbook_expression(self):
+        """The in-place update keeps each element's order of operations, so
+        its params, m and v match the textbook update bit for bit."""
+        rng = np.random.default_rng(7)
+        n = 1000
+        mask = (rng.random(n) < 0.9).astype(float)
+        lr, wd, b1, b2, eps = 3e-3, 1e-2, 0.9, 0.999, 1e-8
+        opt = AdamW(n, lr, wd, beta1=b1, beta2=b2, eps=eps, decay_mask=mask)
+        params = rng.normal(size=n)
+        ref, m, v = params.copy(), np.zeros(n), np.zeros(n)
+        for t in range(1, 201):
+            grad = np.zeros(n)
+            hit = rng.choice(n, 60, replace=False)
+            grad[hit] = rng.normal(size=60) * 10.0 ** rng.integers(-4, 3, 60)
+            opt.step(params, grad)
+            m = b1 * m + (1 - b1) * grad
+            v = b2 * v + (1 - b2) * grad * grad
+            m_hat = m / (1 - b1**t)
+            v_hat = v / (1 - b2**t)
+            ref -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * mask * ref)
+        assert np.array_equal(params, ref)
+        assert np.array_equal(opt.m, m)
+        assert np.array_equal(opt.v, v)
+
 
 class TestLinearScorer:
     def test_unknown_kind_rejected(self):
@@ -409,6 +433,39 @@ class TestTraining:
         slow = trained()
         assert np.array_equal(fast.weights, slow.weights)
         assert fast.bias == slow.bias
+
+    @pytest.mark.parametrize(
+        "indices, values",
+        [([3, 2**15], [64.0, 64.0]), ([3, 5], [64.0, 0.1])],
+        ids=["bucket-2^15", "value-not-float32"],
+    )
+    def test_a_row_that_does_not_narrow_is_refused(self, indices, values):
+        rows = (np.array([0, 2]), np.array(indices), np.array(values))
+        with pytest.raises(ContractError, match="int16 buckets and float32 values"):
+            models._compact(rows)
+
+    def test_say_samples_store_six_bytes_per_nonzero(self):
+        """Training keeps each sample's rows as int16 buckets and float32
+        values, and widening them gives back `featurize`'s rows exactly."""
+        from saycanpay.data import generate_split
+
+        env = get_env("blocks")
+        trajectories = generate_split(env, "train", 3, 0)
+        samples = list(models._say_samples(trajectories, env))
+        assert len(samples) == sum(len(t.actions) for t in trajectories)
+        nnz = sum(len(buckets) for (_, buckets, _), _ in samples)
+        stored = sum(b.nbytes + v.nbytes for (_, b, v), _ in samples)
+        assert nnz > 0 and stored <= 6 * nnz
+        traj = trajectories[0]
+        vocab = env.admissible_actions(traj.episode)
+        indptr, indices, values = featurize(
+            traj.episode.goal, History(traj.episode.init_obs), vocab, "plain"
+        )
+        (lengths, buckets, narrow), _ = samples[0]
+        assert buckets.dtype == np.int16 and narrow.dtype == np.float32
+        assert np.array_equal(np.concatenate([[0], np.cumsum(lengths)]), indptr)
+        assert np.array_equal(buckets.astype(np.intp), indices)
+        assert np.array_equal(narrow.astype(np.float64), values)
 
     def test_empty_datasets_rejected(self):
         config = TrainConfig(epochs=1)
