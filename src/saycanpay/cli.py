@@ -233,12 +233,12 @@ def cmd_plan(args) -> int:
     )
     traj = trajectories[opts["seed"] % len(trajectories)]
     names = {role: opts[f"backend_{role}"] for role in ("say", "can", "pay")}
-    backends = build_backends(
-        ModelStore(Path(opts["models"])), opts["env"], names, opts["seed"],
-        opts["adapter_endpoint"], opts["delta"],
-    )
     config = DecodingConfig(
         strategy=opts["strategy"], score_mode=opts["score"], m=opts["m"], k=opts["k"]
+    )
+    backends = build_backends(
+        ModelStore(Path(opts["models"])), opts["env"], names, opts["seed"],
+        opts["adapter_endpoint"], opts["delta"], config.roles,
     )
     result = plan_episode(opts["env"], traj, backends, config)
     print(f"episode: {traj.episode.episode_id}")

@@ -19,6 +19,7 @@ from .envs import EpisodeSpec
 from .trie import TokenTrie
 
 STRATEGIES = ("greedy-token", "greedy-action", "beam-action")
+ROLES = ("say", "can", "pay")
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,13 @@ class DecodingConfig:
             raise ContractError(f"unknown score mode {self.score_mode!r}")
         if not 1 <= self.k <= self.m:
             raise ContractError("beam count k must satisfy 1 <= k <= m")
+
+    @property
+    def roles(self) -> tuple[str, ...]:
+        """The scorer roles the search calls: Say, then Can and Pay as far
+        as the score mode reads them; greedy-token reads Say alone."""
+        mode = "say" if self.strategy == "greedy-token" else self.score_mode
+        return ROLES[: SCORE_MODES.index(mode) + 1]
 
 
 @dataclass(frozen=True)
@@ -81,8 +89,9 @@ def expand_candidates(
     listed = [merged[text] for text in sorted(merged)]
     actions = [action for action, _ in listed]
     ones = [1.0] * len(actions)
-    p_cans = can(history, actions) if config.score_mode != "say" else ones
-    f_pays = pay(history, actions) if config.score_mode == "saycanpay" else ones
+    roles = config.roles
+    p_cans = can(history, actions) if "can" in roles else ones
+    f_pays = pay(history, actions) if "pay" in roles else ones
     return [
         ScoredCandidate(
             action=action,

@@ -30,10 +30,6 @@ class GridState(SymbolicState):
     objects: tuple[tuple[str, str, int], ...]  # (color, kind, location)
     agent_room: int
 
-    def __post_init__(self):
-        if self.objects != tuple(sorted(self.objects)):
-            raise ContractError("objects must be kept in sorted order")
-
     @property
     def carried(self) -> tuple[str, str] | None:
         for color, kind, loc in self.objects:
@@ -117,6 +113,8 @@ class GridworldEnv(Environment):
         return self._episode(state, goal, split, seed)
 
     def _state_violation(self, state: GridState) -> str | None:
+        if state.objects != tuple(sorted(state.objects)):
+            return f"objects {state.objects} are not in sorted order"
         rooms = range(state.n_rooms)
         if len(state.doors) != state.n_rooms - 1 or state.agent_room not in rooms:
             return (f"agent in room {state.agent_room} of {state.n_rooms} rooms "

@@ -13,10 +13,10 @@ from pathlib import Path
 from .backends import BackendChoice, episode_backends
 from .core import ContractError, InfeasibleActionError, ModelFileError
 from .data import read_trajectories, split_path
-from .decoding import DecodingConfig, PlanResult, run_strategy
+from .decoding import ROLES, DecodingConfig, PlanResult, run_strategy
 from .envs import get_env
 from .models import LinearScorer, SayPolicy
-from .oracle import DELTA, Trajectory
+from .oracle import DELTA, ReplayCache, Trajectory
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,17 @@ def relative_length(result: EpisodeResult) -> float:
 
 def plan_episode(
     env_id: str, traj: Trajectory, backends: BackendChoice, config: DecodingConfig,
-    table: dict | None = None,
+    episode: ReplayCache | None = None,
 ) -> EpisodeResult:
-    """Plan one episode with fresh per-episode backends, then execute;
-    `table` is the episode's score table, shared by the cells that plan it."""
+    """Plan one episode with the backends of the roles `config` calls, then
+    execute; `episode` is the episode's cache, shared by the cells that plan
+    it (a new one when None)."""
     env = get_env(env_id)
     spec = traj.episode
     started = time.perf_counter()
-    say, can, pay = episode_backends(backends, env, spec, table)
+    if episode is None:
+        episode = ReplayCache(env, spec)
+    say, can, pay = episode_backends(backends, episode, config.roles)
     plan = run_strategy(spec, config, say, can, pay)
     return execute_plan(
         env, spec, plan, optimal_length=len(traj.actions),
@@ -98,10 +101,10 @@ _WORKER_STATE: dict = {}
 def _plan_under_cells(
     env_id: str, traj: Trajectory, cells: list[Cell]
 ) -> list[EpisodeResult]:
-    """One episode planned under every cell in order, with one score table
-    that is dropped after the last cell."""
-    table: dict = {}
-    return [plan_episode(env_id, traj, b, c, table) for b, c in cells]
+    """One episode planned under every cell in order, with one cache that is
+    dropped after the last cell."""
+    episode = ReplayCache(get_env(env_id), traj.episode)
+    return [plan_episode(env_id, traj, b, c, episode) for b, c in cells]
 
 
 def _init_worker(env_id, trajectories, cells):
@@ -121,7 +124,7 @@ def evaluate_episodes(
     jobs: int = 1,
 ) -> list[EpisodeResult]:
     """Plan each episode under every (backends, config) cell in turn, so the
-    cells share its score table. At jobs > 1 one pool serves all cells; each
+    cells share its cache. At jobs > 1 one pool serves all cells; each
     worker gets the inputs once, then plans contiguous chunks of episodes.
     Results are ordered cell by cell, then by input position."""
     if jobs < 1:
@@ -187,15 +190,15 @@ class ModelStore:
 
 def build_backends(
     store: ModelStore | None, env_id: str, names: dict, seed: int,
-    endpoint: str | None, delta: float,
+    endpoint: str | None, delta: float, roles: tuple[str, ...] = ROLES,
 ) -> BackendChoice:
-    """Load the trained scorers the chosen backends need.
+    """Load the trained scorers the chosen backends of `roles` need.
 
     Raises FileNotFoundError naming the first missing model file ("None"
     when there is no model directory).
     """
     kwargs: dict = {}
-    for role in ("say", "can", "pay"):
+    for role in roles:
         if names.get(role, "trained") == "trained":
             model = store and store.load(env_id, role, seed)
             if model is None:
@@ -246,19 +249,16 @@ def run_cells(
             "k": cell["k"],
         }
         out_cells.append(row)
+        config = DecodingConfig(strategy=cell["strategy"], score_mode=cell["score"],
+                                m=cell["m"], k=cell["k"])
         try:
             backends = build_backends(
-                store, env_id, cell["backends"], cell["seed"], endpoint, delta
+                store, env_id, cell["backends"], cell["seed"], endpoint, delta,
+                config.roles,
             )
         except FileNotFoundError as exc:
             row["skipped"] = f"missing model file {exc}"
             continue
-        config = DecodingConfig(
-            strategy=cell["strategy"],
-            score_mode=cell["score"],
-            m=cell["m"],
-            k=cell["k"],
-        )
         runnable.append((row, backends, config))
     for (env_id, _), (trajectories, runnable) in groups.items():
         if not runnable:

@@ -29,8 +29,12 @@ def bfs_plan(env: Environment, spec: EpisodeSpec) -> Trajectory:
 
 
 class ReplayCache:
-    """The per-episode oracle: the state each history reaches, and the
-    optimal plan from each state.
+    """The episode's one cache, read by every backend of every cell that
+    plans it: the env, the spec and its one vocabulary list; the state each
+    history reaches and the optimal plan from each state (the oracle); and
+    `memo`, the trained scores (Say distributions under (scorer, history),
+    `featurize` rows under (profile, history, candidates) and Can/Pay scores
+    under (model, history, candidates)).
 
     A history that contains an infeasible action maps to None; everything
     downstream of it is treated as broken.
@@ -39,27 +43,28 @@ class ReplayCache:
     def __init__(self, env: Environment, spec: EpisodeSpec):
         self.env = env
         self.spec = spec
+        self.vocab = env.admissible_actions(spec)
+        self.memo: dict = {}
         self._states: dict[tuple[str, ...], SymbolicState | None] = {
             (): spec.init_state
         }
         self._plans: dict[SymbolicState, tuple[ActionInstance, ...] | None] = {}
 
     def state_for(self, history: History) -> SymbolicState | None:
-        key = tuple(a.text for a in history.actions)
-        if key in self._states:
-            return self._states[key]
-        state = self._states[()]
-        for i, action in enumerate(history.actions):
-            prefix = key[: i + 1]
-            if prefix not in self._states:
+        return self._state(tuple([a.text for a in history.actions]), history.actions)
+
+    def _state(self, key: tuple, actions: tuple) -> SymbolicState | None:
+        """The state the action texts `key` reach, replayed from the longest
+        stored prefix; None from the first infeasible action on."""
+        if key not in self._states:
+            state = self._state(key[:-1], actions[:-1])
+            if state is not None:
                 try:
-                    self._states[prefix] = self.env.step(state, self.spec.goal, action)
+                    state = self.env.step(state, self.spec.goal, actions[-1])
                 except InfeasibleActionError:
-                    self._states[prefix] = None
-            state = self._states[prefix]
-            if state is None:
-                return None
-        return state
+                    state = None
+            self._states[key] = state
+        return self._states[key]
 
     def plan_from(self, state: SymbolicState) -> tuple[ActionInstance, ...] | None:
         """breadth_first_plan from `state` (done action included), memoized.
@@ -84,38 +89,31 @@ class ReplayCache:
 
 
 class OracleCan:
-    """Exact feasibility: 1.0 iff the action's precondition holds."""
+    """Exact feasibility: 1.0 iff the history and then the action replay."""
 
-    def __init__(self, oracle: ReplayCache):
-        self.oracle = oracle
+    def __init__(self, episode: ReplayCache):
+        self.episode = episode
 
     def __call__(self, history: History, actions: list[ActionInstance]) -> list[float]:
-        state = self.oracle.state_for(history)
-        if state is None:
-            return [0.0] * len(actions)
-        env, goal = self.oracle.env, self.oracle.spec.goal
-        return [
-            1.0 if env.precondition_holds(state, goal, a) else 0.0 for a in actions
-        ]
+        state_for = self.episode.state_for
+        return [0.0 if state_for(history.extended(a)) is None else 1.0 for a in actions]
 
 
 class OraclePay:
     """Discounted distance-to-goal payoff: delta ** (remaining actions after a)."""
 
-    def __init__(self, oracle: ReplayCache, delta: float = DELTA):
-        self.oracle = oracle
+    def __init__(self, episode: ReplayCache, delta: float = DELTA):
+        self.episode = episode
         self.delta = delta
 
     def __call__(self, history: History, actions: list[ActionInstance]) -> list[float]:
-        state = self.oracle.state_for(history)
-        return [0.0 if state is None else self._payoff(state, a) for a in actions]
+        return [self._payoff(history.extended(a)) for a in actions]
 
-    def _payoff(self, state: SymbolicState, action: ActionInstance) -> float:
-        try:
-            nxt = self.oracle.env.step(state, self.oracle.spec.goal, action)
-        except InfeasibleActionError:
+    def _payoff(self, extended: History) -> float:
+        state = self.episode.state_for(extended)
+        if state is None:
             return 0.0
-        if action.is_done:
+        if extended.actions[-1].is_done:
             return 1.0
-        plan = self.oracle.plan_from(nxt)
+        plan = self.episode.plan_from(state)
         return 0.0 if plan is None else self.delta ** len(plan)

@@ -33,7 +33,7 @@ from saycanpay.evaluate import (
 )
 from saycanpay.features import DIM
 from saycanpay.models import LinearScorer, SayPolicy, infonce_loss, mse_loss, sigmoid
-from saycanpay.oracle import DELTA
+from saycanpay.oracle import DELTA, ReplayCache
 
 SEEDS = (0, 1, 2)
 
@@ -153,10 +153,11 @@ def test_criterion_02_beam_one_equals_greedy(full_data_dir, full_model_dir):
             for traj in trajectories:
                 spec = traj.episode
                 config = DecodingConfig(strategy="beam-action", score_mode=score, k=1)
+                episode = ReplayCache(env, spec)
                 greedy = reference_greedy_action(
-                    TrainedSay(env, spec, backends.say_policy),
-                    TrainedCan(spec, backends.can_model),
-                    TrainedPay(spec, backends.pay_model),
+                    TrainedSay(episode, backends.say_policy),
+                    TrainedCan(episode, backends.can_model),
+                    TrainedPay(episode, backends.pay_model),
                     spec, config,
                 )
                 beam = plan_episode(env_id, traj, backends, config)

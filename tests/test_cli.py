@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -219,6 +220,40 @@ class TestTrainPlanEval:
             for s in ("greedy-action", "beam-action")
             for m in ("say", "saycan", "saycanpay")
         }
+
+    def test_say_only_cells_need_no_can_or_pay_model(
+        self, tiny_data_dir, tiny_model_dir, tmp_path
+    ):
+        """Greedy-token and --score say cells read Say alone: without the Can
+        model file they report what they report with it, while the cells that
+        read Can are still skipped."""
+        partial = tmp_path / "models"
+        shutil.copytree(tiny_model_dir, partial)
+        (partial / "hanoi_can_seed0.json").unlink()
+
+        def rows(models, *flags):
+            out = tmp_path / "out" / models.name / "-".join(flags)
+            proc = run_cli(
+                "eval", "--env", "hanoi", *flags, "--data", str(tiny_data_dir),
+                "--models", str(models), "--out", str(out), "--jobs", "1",
+            )
+            assert proc.returncode == 0, proc.stderr
+            return json.loads((out / "eval_report.json").read_text())["cells"]
+
+        for flags in (["--strategy", "greedy-token"], ["--score", "say"]):
+            full = rows(tiny_model_dir, *flags)
+            assert all("skipped" not in row for row in full)
+            assert rows(partial, *flags) == full
+        grid = rows(partial, "--strategy", "greedy-action")
+        assert [("skipped" in row, row["score"]) for row in grid] == [
+            (False, "say"), (True, "saycan"), (True, "saycanpay"),
+        ]
+        proc = run_cli(
+            "plan", "--env", "hanoi", "--score", "say", "--data", str(tiny_data_dir),
+            "--models", str(partial),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "terminated by" in proc.stdout
 
     def test_ablate_beam_size(self, tiny_data_dir, tiny_model_dir, tmp_path):
         proc = run_cli(

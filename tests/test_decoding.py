@@ -87,7 +87,7 @@ class TestDecodingConfig:
         spec = reset("hanoi", 0, "train")
         with pytest.raises(ContractError, match="score mode"):
             config = DecodingConfig(strategy=strategy, score_mode="bogus")
-            run_strategy(spec, config, UniformSay(env, spec))
+            run_strategy(spec, config, UniformSay(ReplayCache(env, spec)))
 
 
 class _ScriptedSay:
@@ -118,8 +118,8 @@ class TestGreedyBeamEquivalence:
         env = get_env("hanoi")
         for seed in range(10):
             spec = reset("hanoi", seed, "test")
-            say = UniformSay(env, spec)
             oracle = ReplayCache(env, spec)
+            say = UniformSay(oracle)
             can, pay = OracleCan(oracle), OraclePay(oracle)
             config = DecodingConfig(
                 strategy="beam-action", score_mode=score_mode, m=6, k=1
@@ -213,8 +213,8 @@ class TestBeamSearch:
         env = get_env("gridworld")
         for seed in range(10):
             spec = reset("gridworld", seed, "test")
-            say = UniformSay(env, spec)
             oracle = ReplayCache(env, spec)
+            say = UniformSay(oracle)
             can, pay = OracleCan(oracle), OraclePay(oracle)
             scores = []
             for k in (1, 2, 3):
@@ -297,7 +297,7 @@ class TestGreedyToken:
     def test_uniform_policy_repeats_the_heaviest_prefix(self):
         env = get_env("hanoi")
         spec = replace(reset("hanoi", 0, "train"), max_steps=5)
-        say = UniformSay(env, spec)
+        say = UniformSay(ReplayCache(env, spec))
         config = DecodingConfig(strategy="greedy-token")
         result = run_strategy(spec, config, say)
         # the nine move actions share the "move" prefix and outweigh done;
@@ -347,8 +347,8 @@ class TestRunStrategy:
     def test_dispatch_matches_direct_calls(self):
         env = get_env("blocks")
         spec = reset("blocks", 1, "test")
-        say = UniformSay(env, spec)
         oracle = ReplayCache(env, spec)
+        say = UniformSay(oracle)
         can, pay = OracleCan(oracle), OraclePay(oracle)
         config = DecodingConfig(strategy="greedy-action", score_mode="saycanpay")
         via_dispatch = run_strategy(spec, config, say, can, pay)
@@ -358,7 +358,7 @@ class TestRunStrategy:
     def test_missing_can_pay_default_to_one(self):
         env = get_env("blocks")
         spec = reset("blocks", 1, "test")
-        say = UniformSay(env, spec)
+        say = UniformSay(ReplayCache(env, spec))
         config = DecodingConfig(strategy="greedy-action", score_mode="say")
         result = run_strategy(spec, config, say)
         assert all(c.p_can == 1.0 and c.f_pay == 1.0 for c in result.per_step)

@@ -7,10 +7,11 @@ from collections import Counter
 import pytest
 
 from saycanpay import backends, decoding, evaluate
+from saycanpay import oracle as oracle_module
 from saycanpay.backends import TrainedSay, episode_backends
 from saycanpay.core import ContractError, ModelFileError
 from saycanpay.decoding import DecodingConfig, PlanResult
-from saycanpay.envs import get_env, reset
+from saycanpay.envs import ENV_IDS, get_env, reset
 from saycanpay.data import read_trajectories, split_path
 from saycanpay.evaluate import (
     BackendChoice,
@@ -30,7 +31,7 @@ from saycanpay.evaluate import (
     write_report,
 )
 from saycanpay.models import LinearScorer, SayPolicy
-from saycanpay.oracle import DELTA, bfs_plan
+from saycanpay.oracle import DELTA, ReplayCache, bfs_plan
 
 
 def plan_of(actions):
@@ -123,8 +124,8 @@ class TestEpisodeBackends:
     def test_oracle_roles_share_one_oracle(self):
         spec = reset("hanoi", 0, "test")
         choice = BackendChoice(say="perfect-say", can="oracle", pay="oracle")
-        say, can, pay = episode_backends(choice, get_env("hanoi"), spec)
-        assert say.oracle is can.oracle is pay.oracle
+        say, can, pay = episode_backends(choice, ReplayCache(get_env("hanoi"), spec))
+        assert say.episode is can.episode is pay.episode
 
     @pytest.mark.parametrize(
         "choice",
@@ -141,7 +142,7 @@ class TestEpisodeBackends:
     def test_bad_choice_is_a_contract_error(self, choice):
         spec = reset("hanoi", 0, "test")
         with pytest.raises(ContractError):
-            episode_backends(choice, get_env("hanoi"), spec)
+            episode_backends(choice, ReplayCache(get_env("hanoi"), spec))
 
 
 class TestEvaluateEpisodes:
@@ -179,6 +180,8 @@ class TestEvaluateEpisodes:
              DecodingConfig(strategy="greedy-action", score_mode="saycanpay")),
             (backends("perfect-say", "oracle", "oracle"),
              DecodingConfig(strategy="beam-action", score_mode="saycanpay", k=2)),
+            (backends("perfect-say", "oracle", "oracle"),
+             DecodingConfig(strategy="greedy-action", score_mode="saycan")),
             *[(trained, DecodingConfig(strategy="greedy-action", score_mode=score))
               for score in ("say", "saycan", "saycanpay")],
             (trained, DecodingConfig(strategy="beam-action", score_mode="saycanpay")),
@@ -192,6 +195,31 @@ class TestEvaluateEpisodes:
                     for r in evaluate_episodes("hanoi", trajectories, [cell], jobs=1)]
         together = evaluate_episodes("hanoi", trajectories, cells, jobs=jobs)
         assert outcome(together) == outcome(per_cell)
+
+
+class TestOneCachePerEpisode:
+    @pytest.mark.parametrize("env_id", ENV_IDS)
+    def test_no_start_state_is_searched_twice_in_an_episode(
+        self, env_id, tiny_data_dir, monkeypatch
+    ):
+        """Every cell of an episode reads the episode's one oracle memo, so
+        across a perfect-say + oracle grid each (episode, start state) is
+        searched at most once."""
+        searches = []
+        search = oracle_module.breadth_first_plan
+
+        def counting_search(env, spec, start_state=None):
+            searches.append((spec.episode_id, start_state))
+            return search(env, spec, start_state)
+
+        monkeypatch.setattr(oracle_module, "breadth_first_plan", counting_search)
+        report = run_matrix(
+            tiny_data_dir, None, [env_id], ["greedy-action", "beam-action"],
+            ["say", "saycan", "saycanpay"],
+            {"say": "perfect-say", "can": "oracle", "pay": "oracle"}, [0], jobs=1,
+        )
+        assert len(report["cells"]) == 6 and all("n" in c for c in report["cells"])
+        assert searches and len(searches) == len(set(searches))
 
 
 class TestModelStore:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from saycanpay import models
+from saycanpay.backends import UniformSay
 from saycanpay.core import (
     ActionInstance,
     AdapterError,
@@ -36,6 +37,7 @@ from saycanpay.models import (
     softmax,
     train,
 )
+from saycanpay.oracle import ReplayCache
 from saycanpay.trie import TokenTrie
 
 from conftest import random_reachable_history, reference_featurize, reference_train
@@ -335,6 +337,12 @@ class TestSayProposals:
         assert [a.text for a, _ in top] == [a.text for a in vocab[:3]]
         for _, p in top:
             assert p == pytest.approx(1.0 / len(vocab))
+        # the uniform backend proposes through the same top-m rule
+        uniform = UniformSay(ReplayCache(get_env("hanoi"), spec))
+        for m in (1, 3, len(vocab), len(vocab) + 1):
+            assert uniform.propose(History(spec.init_obs), m) == [
+                (a, 1.0 / len(vocab)) for a in vocab[:m]
+            ]
 
     def test_top_m_clamps_with_warning(self):
         # the clamp is silent, as in every other proposer
@@ -356,6 +364,9 @@ class TestSayProposals:
             say_top_m(probs, vocab, 0)
         with pytest.raises(ContractError):
             say_top_m(np.array([]), [], 1)
+        uniform = UniformSay(ReplayCache(get_env("hanoi"), spec))
+        with pytest.raises(ContractError):
+            uniform.propose(History(spec.init_obs), 0)
 
 
 class TestPerfectSay:
