@@ -20,7 +20,9 @@ PAY_BACKENDS = ("trained", "oracle")
 
 @dataclass(frozen=True)
 class BackendChoice:
-    """Which scorer implementation fills each of the say/can/pay roles."""
+    """Which scorer implementation fills each of the say/can/pay roles,
+    checked once when built; a trained Can or Pay's model is checked by
+    `episode_backends`, only for the roles a cell calls."""
 
     say: str = "trained"
     can: str = "trained"
@@ -31,6 +33,15 @@ class BackendChoice:
     endpoint: str | None = None
     seed: int = 0
     delta: float = DELTA
+
+    def __post_init__(self):
+        for role, names in zip(ROLES, (SAY_BACKENDS, CAN_BACKENDS, PAY_BACKENDS)):
+            if getattr(self, role) not in names:
+                raise ContractError(f"unknown {role} backend {getattr(self, role)!r}")
+        if self.say == "trained" and self.say_policy is None:
+            raise ContractError("trained say backend needs a policy")
+        if self.say == "external" and self.endpoint is None:
+            raise ContractError("external say backend needs an endpoint")
 
     def fingerprint(self) -> str:
         return f"say={self.say},can={self.can},pay={self.pay},seed={self.seed}"
@@ -140,23 +151,15 @@ def episode_backends(
     choice: BackendChoice, episode: ReplayCache, roles: tuple[str, ...] = ROLES
 ):
     """The (say, can, pay) scorers of `roles` for one episode, None for a
-    role outside them; every scorer reads the episode's one cache."""
-    for role, names in (
-        ("say", SAY_BACKENDS), ("can", CAN_BACKENDS), ("pay", PAY_BACKENDS)
-    ):
-        if getattr(choice, role) not in names:
-            raise ContractError(f"unknown {role} backend {getattr(choice, role)!r}")
+    role outside them; every scorer reads the episode's one cache. A
+    trained Can or Pay in `roles` without its model is a ContractError."""
     if choice.say == "uniform":
         say = UniformSay(episode)
     elif choice.say == "perfect-say":
         say = PerfectSay(episode, choice.seed)
     elif choice.say == "trained":
-        if choice.say_policy is None:
-            raise ContractError("trained say backend needs a policy")
         say = TrainedSay(episode, choice.say_policy)
     else:
-        if choice.endpoint is None:
-            raise ContractError("external say backend needs an endpoint")
         say = ExternalSay(episode, choice.endpoint)
     can = pay = None
     if "can" in roles:

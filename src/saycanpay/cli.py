@@ -227,9 +227,8 @@ def cmd_train(args) -> int:
 
 def cmd_plan(args) -> int:
     opts = _resolve(args)
-    env = get_env(opts["env"])
     trajectories = read_trajectories(
-        env, split_path(Path(opts["data"]), opts["env"], opts["split"])
+        get_env(opts["env"]), split_path(Path(opts["data"]), opts["env"], opts["split"])
     )
     traj = trajectories[opts["seed"] % len(trajectories)]
     names = {role: opts[f"backend_{role}"] for role in ("say", "can", "pay")}
@@ -240,7 +239,7 @@ def cmd_plan(args) -> int:
         ModelStore(Path(opts["models"])), opts["env"], names, opts["seed"],
         opts["adapter_endpoint"], opts["delta"], config.roles,
     )
-    result = plan_episode(opts["env"], traj, backends, config)
+    result = plan_episode(traj, backends, config)
     print(f"episode: {traj.episode.episode_id}")
     print(f"goal:    {traj.episode.goal.text}")
     print(f"obs:     {traj.episode.init_obs}")
@@ -291,8 +290,6 @@ def cmd_ablate(args) -> int:
         split=opts["split"],
         jobs=opts["jobs"],
         m=opts["m"],
-        endpoint=opts["adapter_endpoint"],
-        delta=opts["delta"],
     )
     return _write(report, opts["out"], f"ablate_{args.ablation}.json")
 
@@ -332,8 +329,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ablate", help="beam-size or perfect-say ablation")
     p.add_argument("ablation", choices=("beam-size", "perfect-say"))
-    _add_common(p, ["env", "split", "m", "delta", "seed", "jobs", "data", "models",
-                    "out"])
+    _add_common(p, ["env", "split", "m", "seed", "jobs", "data", "models", "out"])
     return parser
 
 

@@ -42,14 +42,16 @@ class PaySample:
     target: float
 
 
-def pair_key(env: Environment, spec: EpisodeSpec) -> str:
-    state_json = json.dumps(env.state_to_json(spec.init_state), sort_keys=True)
+def pair_key(spec: EpisodeSpec) -> str:
+    """`spec`'s env, initial state (in its env's JSON form) and goal text."""
+    state = get_env(spec.env_id).state_to_json(spec.init_state)
+    state_json = json.dumps(state, sort_keys=True)
     return f"{spec.env_id}|{state_json}|{spec.goal.text}"
 
 
-def pair_split(env: Environment, spec: EpisodeSpec) -> str:
+def pair_split(spec: EpisodeSpec) -> str:
     """Deterministic train/test partition of the shared episode space."""
-    digest = hashlib.sha256(pair_key(env, spec).encode()).digest()
+    digest = hashlib.sha256(pair_key(spec).encode()).digest()
     bucket = int.from_bytes(digest[:4], "big") / 2**32
     return "train" if bucket < TRAIN_PAIR_SHARE else "test"
 
@@ -69,14 +71,15 @@ def generate_split(
     while len(trajectories) < count:
         spec = env.sample_episode(candidate, split)
         candidate += 1
-        if split in ("train", "test") and pair_split(env, spec) != split:
+        if split in ("train", "test") and pair_split(spec) != split:
             log.debug("skipping %s: pair assigned to other split", spec.episode_id)
             continue
-        trajectories.append(bfs_plan(env, spec))
+        trajectories.append(bfs_plan(spec))
     return trajectories
 
 
-def trajectory_to_row(env: Environment, traj: Trajectory) -> dict:
+def trajectory_to_row(traj: Trajectory) -> dict:
+    """The JSON row of `traj`, its initial state in its env's JSON form."""
     spec = traj.episode
     return {
         "episode_id": spec.episode_id,
@@ -86,7 +89,7 @@ def trajectory_to_row(env: Environment, traj: Trajectory) -> dict:
         "goal": spec.goal.text,
         "goal_predicate": "/".join(spec.goal.predicate),
         "init_obs": spec.init_obs,
-        "init_state": env.state_to_json(spec.init_state),
+        "init_state": get_env(spec.env_id).state_to_json(spec.init_state),
         "actions": [a.text for a in traj.actions],
         "reward": traj.reward,
         "optimal_length": len(traj.actions),
@@ -94,6 +97,9 @@ def trajectory_to_row(env: Environment, traj: Trajectory) -> dict:
 
 
 def row_to_trajectory(env: Environment, row: dict) -> Trajectory:
+    """A `trajectory_to_row` row read back; ValueError unless it is `env`'s."""
+    if row["env"] != env.env_id:
+        raise ValueError(f"env {row['env']!r} is not {env.env_id!r}")
     state = env.state_from_json(row["init_state"])
     predicate = tuple(row["goal_predicate"].split("/"))
     spec = EpisodeSpec(
@@ -108,11 +114,9 @@ def row_to_trajectory(env: Environment, row: dict) -> Trajectory:
     return Trajectory(episode=spec, actions=actions, reward=row["reward"])
 
 
-def write_trajectories(env: Environment, trajectories: list[Trajectory], path: Path):
-    rows = sorted(
-        (trajectory_to_row(env, t) for t in trajectories),
-        key=lambda r: r["episode_id"],
-    )
+def write_trajectories(trajectories: list[Trajectory], path: Path):
+    """One JSON row per trajectory, sorted by episode id."""
+    rows = sorted(map(trajectory_to_row, trajectories), key=lambda r: r["episode_id"])
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
@@ -151,7 +155,7 @@ def generate_dataset(
     for split, count in counts.items():
         trajectories = generate_split(env, split, count, seed)
         path = split_path(Path(out_dir), env_id, split)
-        write_trajectories(env, trajectories, path)
+        write_trajectories(trajectories, path)
         lengths = [len(t.actions) for t in trajectories]
         summary[split] = {
             "count": len(trajectories),

@@ -31,15 +31,15 @@ class EpisodeResult:
 
 
 def execute_plan(
-    env, spec, plan: PlanResult, optimal_length: int, wall_time: float = 0.0
+    spec, plan: PlanResult, optimal_length: int, wall_time: float = 0.0
 ) -> EpisodeResult:
-    """Replay a plan through `env.step`; the first infeasible action halts
-    execution.
+    """Replay a plan through the `step` of `spec`'s env; the first infeasible
+    action halts execution.
 
     A plan reaches the goal only when it runs to completion and ends with the
     done action (whose precondition is the goal test).
     """
-    state = spec.init_state
+    env, state = get_env(spec.env_id), spec.init_state
     executed_ok = True
     for action in plan.plan:
         try:
@@ -74,21 +74,20 @@ def relative_length(result: EpisodeResult) -> float:
 
 
 def plan_episode(
-    env_id: str, traj: Trajectory, backends: BackendChoice, config: DecodingConfig,
+    traj: Trajectory, backends: BackendChoice, config: DecodingConfig,
     episode: ReplayCache | None = None,
 ) -> EpisodeResult:
-    """Plan one episode with the backends of the roles `config` calls, then
-    execute; `episode` is the episode's cache, shared by the cells that plan
-    it (a new one when None)."""
-    env = get_env(env_id)
+    """Plan one episode in its env with the backends of the roles `config`
+    calls, then execute; `episode` is the episode's cache, shared by the
+    cells that plan it (a new one when None)."""
     spec = traj.episode
     started = time.perf_counter()
     if episode is None:
-        episode = ReplayCache(env, spec)
+        episode = ReplayCache(spec)
     say, can, pay = episode_backends(backends, episode, config.roles)
     plan = run_strategy(spec, config, say, can, pay)
     return execute_plan(
-        env, spec, plan, optimal_length=len(traj.actions),
+        spec, plan, optimal_length=len(traj.actions),
         wall_time=time.perf_counter() - started,
     )
 
@@ -98,47 +97,43 @@ _CHUNKS_PER_WORKER = 4  # several chunks each, so uneven episodes still balance
 _WORKER_STATE: dict = {}
 
 
-def _plan_under_cells(
-    env_id: str, traj: Trajectory, cells: list[Cell]
-) -> list[EpisodeResult]:
+def _plan_under_cells(traj: Trajectory, cells: list[Cell]) -> list[EpisodeResult]:
     """One episode planned under every cell in order, with one cache that is
     dropped after the last cell."""
-    episode = ReplayCache(get_env(env_id), traj.episode)
-    return [plan_episode(env_id, traj, b, c, episode) for b, c in cells]
+    episode = ReplayCache(traj.episode)
+    return [plan_episode(traj, b, c, episode) for b, c in cells]
 
 
-def _init_worker(env_id, trajectories, cells):
-    _WORKER_STATE.update(env_id=env_id, trajectories=trajectories, cells=cells)
+def _init_worker(trajectories, cells):
+    """Pool initializer: the episodes and cells every chunk of a worker reads."""
+    _WORKER_STATE.update(trajectories=trajectories, cells=cells)
 
 
 def _plan_chunk(start: int, stop: int) -> list[list[EpisodeResult]]:
     s = _WORKER_STATE
-    chunk = s["trajectories"][start:stop]
-    return [_plan_under_cells(s["env_id"], t, s["cells"]) for t in chunk]
+    return [_plan_under_cells(t, s["cells"]) for t in s["trajectories"][start:stop]]
 
 
 def evaluate_episodes(
-    env_id: str,
-    trajectories: list[Trajectory],
-    cells: list[Cell],
-    jobs: int = 1,
+    trajectories: list[Trajectory], cells: list[Cell], jobs: int = 1
 ) -> list[EpisodeResult]:
-    """Plan each episode under every (backends, config) cell in turn, so the
-    cells share its cache. At jobs > 1 one pool serves all cells; each
+    """Plan each episode, in the env its spec names, under every (backends,
+    config) cell in turn, so the cells share its cache; the trajectories may
+    come from several envs. At jobs > 1 one pool serves all cells; each
     worker gets the inputs once, then plans contiguous chunks of episodes.
     Results are ordered cell by cell, then by input position."""
     if jobs < 1:
         raise ContractError(f"jobs must be >= 1, not {jobs}")
     n = len(trajectories)
     if jobs == 1 or n == 0:
-        rows = [_plan_under_cells(env_id, t, cells) for t in trajectories]
+        rows = [_plan_under_cells(t, cells) for t in trajectories]
     else:
         size = -(-n // (jobs * _CHUNKS_PER_WORKER))
         starts = range(0, n, size)
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, len(starts)),
             initializer=_init_worker,
-            initargs=(env_id, trajectories, cells),
+            initargs=(trajectories, cells),
         ) as pool:
             chunks = pool.map(_plan_chunk, starts, [s + size for s in starts])
             rows = [row for chunk in chunks for row in chunk]
@@ -260,11 +255,11 @@ def run_cells(
             row["skipped"] = f"missing model file {exc}"
             continue
         runnable.append((row, backends, config))
-    for (env_id, _), (trajectories, runnable) in groups.items():
+    for trajectories, runnable in groups.values():
         if not runnable:
             continue
         results = evaluate_episodes(
-            env_id, trajectories, [(b, c) for _, b, c in runnable], jobs=jobs
+            trajectories, [(b, c) for _, b, c in runnable], jobs=jobs
         )
         n = len(trajectories)
         for i, (row, backends, _) in enumerate(runnable):
@@ -329,10 +324,9 @@ def ablate(
     split: str = "test",
     jobs: int = 1,
     m: int = DecodingConfig.m,
-    endpoint: str | None = None,
-    delta: float = DELTA,
 ) -> dict:
-    """Beam-size sweep or trained-vs-perfect proposer comparison."""
+    """Beam-size sweep or trained-vs-perfect proposer comparison; no cell has
+    an external Say or an oracle Pay, so no endpoint or delta enters it."""
     if kind == "beam-size":
         cells = _grid(envs, [split], ["beam-action"], ["saycanpay"], ["trained"],
                       [1, 2, 3], seeds, m, _TRAINED)
@@ -341,8 +335,7 @@ def ablate(
                       ["trained", "perfect-say"], [1], seeds, m, _TRAINED)
     else:
         raise ContractError(f"unknown ablation {kind!r}")
-    report = run_cells(cells, data_dir, model_dir, jobs=jobs, endpoint=endpoint,
-                       delta=delta)
+    report = run_cells(cells, data_dir, model_dir, jobs=jobs)
     if kind == "perfect-say":
         report["perfect_below_trained"] = _perfect_regressions(cells, report["cells"])
     return report

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ActionInstance, History, InfeasibleActionError, UnsolvableError
-from .envs import Environment, EpisodeSpec, breadth_first_plan
+from .envs import EpisodeSpec, breadth_first_plan, get_env
 from .envs.base import SymbolicState
 
 DELTA = 0.6
@@ -20,9 +20,9 @@ class Trajectory:
     reward: int = 1
 
 
-def bfs_plan(env: Environment, spec: EpisodeSpec) -> Trajectory:
-    """Minimal-length expert trajectory, deterministic via lexicographic expansion."""
-    plan = breadth_first_plan(env, spec)
+def bfs_plan(spec: EpisodeSpec) -> Trajectory:
+    """Minimal-length expert trajectory in `spec`'s env, by lexicographic BFS."""
+    plan = breadth_first_plan(get_env(spec.env_id), spec)
     if plan is None:
         raise UnsolvableError(f"{spec.episode_id}: no plan within {spec.max_steps} steps")
     return Trajectory(episode=spec, actions=tuple(plan))
@@ -30,7 +30,7 @@ def bfs_plan(env: Environment, spec: EpisodeSpec) -> Trajectory:
 
 class ReplayCache:
     """The episode's one cache, read by every backend of every cell that
-    plans it: the env, the spec and its one vocabulary list; the state each
+    plans it: the spec, its env and its one vocabulary list; the state each
     history reaches and the optimal plan from each state (the oracle); and
     `memo`, the trained scores (Say distributions under (scorer, history),
     `featurize` rows under (profile, history, candidates) and Can/Pay scores
@@ -40,10 +40,10 @@ class ReplayCache:
     downstream of it is treated as broken.
     """
 
-    def __init__(self, env: Environment, spec: EpisodeSpec):
-        self.env = env
+    def __init__(self, spec: EpisodeSpec):
+        self.env = get_env(spec.env_id)
         self.spec = spec
-        self.vocab = env.admissible_actions(spec)
+        self.vocab = self.env.admissible_actions(spec)
         self.memo: dict = {}
         self._states: dict[tuple[str, ...], SymbolicState | None] = {
             (): spec.init_state

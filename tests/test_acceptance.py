@@ -8,6 +8,7 @@ evaluated under three training seeds, and comparisons are made on the
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -121,7 +122,7 @@ def test_criterion_01_oracle_stack_solves_hanoi_optimally(full_data_dir):
         strategy="beam-action", score_mode="saycanpay", m=vocab_size, k=3
     )
     started = time.monotonic()
-    results = evaluate_episodes("hanoi", trajectories, [(backends, config)])
+    results = evaluate_episodes(trajectories, [(backends, config)])
     elapsed = time.monotonic() - started
     solved = summarize(results)["success"]
     optimal = sum(
@@ -153,14 +154,14 @@ def test_criterion_02_beam_one_equals_greedy(full_data_dir, full_model_dir):
             for traj in trajectories:
                 spec = traj.episode
                 config = DecodingConfig(strategy="beam-action", score_mode=score, k=1)
-                episode = ReplayCache(env, spec)
+                episode = ReplayCache(spec)
                 greedy = reference_greedy_action(
                     TrainedSay(episode, backends.say_policy),
                     TrainedCan(episode, backends.can_model),
                     TrainedPay(episode, backends.pay_model),
                     spec, config,
                 )
-                beam = plan_episode(env_id, traj, backends, config)
+                beam = plan_episode(traj, backends, config)
                 compared += 1
                 same = (
                     [a.text for a in greedy.plan]
@@ -423,3 +424,95 @@ def test_criterion_11_reports_identical_across_jobs(
         "full eval grid reports for --jobs 1 and --jobs 3 are byte-identical "
         f"({len(outputs[0])} bytes)",
     )
+
+
+# sha256 of the seed-0 protocol splits (400 train / 100 test, data seed 0)
+# and of each seed-0 report row of `grid` (json.dumps(row, sort_keys=True)),
+# keyed "env strategy score k=K say=BACKEND". A change to sampling, BFS,
+# featurization, training or decoding changes them. Every value is the same
+# with the OpenBLAS kernel forced to Haswell or Sandybridge (OPENBLAS_CORETYPE)
+# as on SkylakeX; the model files themselves differ across kernels and are not
+# pinned here, nor are training seeds 1 and 2.
+PINNED_SPLIT_SHA256 = {
+    ("hanoi", "test"): "851fbbb9b6e912ef1429369cc82bf2f27f801e6c225fdd51b7fdb45f100c8883",
+    ("hanoi", "train"): "a4fb66df3090af7f1a559b156be1136bea2d2b66f6ead6a151193c8dcc770aae",
+    ("blocks", "test"): "7e82df82cfa4a978868e1dd5b5e3c9ba562a8f7592f7734e4e0917d740908c94",
+    ("blocks", "train"): "ccae9ff93085860798a43e0b1af955471174534f81790b847f59a331eb2afda4",
+    ("gridworld", "test"): "8d06a8dad4a670ef456dc6bfe3a96f64d921656115da7776974a37eb125404f9",
+    ("gridworld", "train"): "1ea22a22751014ac1d9870030061f37321c3624ffb7c35fba58388fd47ccb9c3",
+}
+PINNED_GRID_ROW_SHA256 = {
+    "hanoi beam-action say k=3 say=trained":
+        "dd7cda2330ea0bdd52df2c2654959afeecb9fe2a951e1301f0329a90a3c903e1",
+    "hanoi beam-action saycan k=3 say=trained":
+        "95d0a6baf3bb421ebf11d0cd90d056fc60cf50eec03bcb166e3ea70299e0e471",
+    "hanoi beam-action saycanpay k=1 say=trained":
+        "cb10f931dba12e7cc64833d328c5b22912326997122ce9a658d9865f4b0d5a2e",
+    "hanoi beam-action saycanpay k=2 say=trained":
+        "17b6932dd53f2d7beffc3582d22d0500b5767be31f360d20d2ebaef7e97c94ce",
+    "hanoi beam-action saycanpay k=3 say=trained":
+        "7b52d3ae7e644a3105b7e03691801b37845652ee9db2c4b72599c075dce56d83",
+    "hanoi greedy-action saycan k=1 say=perfect-say":
+        "749d6c57398e5dfc8f76b396792a1fe16704643002047b9fe7c9b3698dcaeade",
+    "hanoi greedy-action saycan k=1 say=trained":
+        "7cbeb33e0aad8fe54f7259f4050d82c89575e7ba2c5b9d3e7a16cd417de2732a",
+    "hanoi greedy-action saycanpay k=1 say=perfect-say":
+        "2278afee3f55e782eabd3a4c0361ae98d489955e50b99dcd2817d349610037c2",
+    "hanoi greedy-action saycanpay k=1 say=trained":
+        "90a6e552ab8161f4f133f3018b8d990e7f797c5c4b236e053e1c90c3a6f3d67a",
+    "blocks beam-action say k=3 say=trained":
+        "5106fd5299aabe03c020bbe00f94dda9eaed90e72e06ba550b832c28e8d32f9d",
+    "blocks beam-action saycan k=3 say=trained":
+        "7e80b9a90a49a7e23df0469dbc9f349f5c88512a9e8fc101586541f20d3fd2de",
+    "blocks beam-action saycanpay k=1 say=trained":
+        "947037ebc4761dd6c4db8b830ff9c9ab81399f1beb66763488896b65018ac03d",
+    "blocks beam-action saycanpay k=2 say=trained":
+        "be95db228b5a16bd987a3d93f9d69ad86fa0fa6db34f679e3a4bef72ab224b0c",
+    "blocks beam-action saycanpay k=3 say=trained":
+        "eb88df0ae22d2b70508b8d41e71a319de967c31317b014cec22b5b20e9b740f4",
+    "blocks greedy-action saycan k=1 say=perfect-say":
+        "9f05d0ea65ac50bba62dc3b6e7c4a6004b9b86b2edc25fb3a475f0d8f55be529",
+    "blocks greedy-action saycan k=1 say=trained":
+        "bde31b3f6e8c0b9918f112e7610f5ec6a1ddf56c37e792db2461fa068afc73a6",
+    "blocks greedy-action saycanpay k=1 say=perfect-say":
+        "4b0ab3e20ecbdc50ea2fc41f3844abbb648ead9211b12efa2a47bb55b9c3eae2",
+    "blocks greedy-action saycanpay k=1 say=trained":
+        "a84d5f7eca6032ae680ce800ef5ac60d6398af32e691a957c6ccb59a5ed1c744",
+    "gridworld beam-action say k=3 say=trained":
+        "8ceb9061d006669dbad99de957c8d92e1a8ef84429685e3b43a5d5e306ea4665",
+    "gridworld beam-action saycan k=3 say=trained":
+        "7fcc442ff902c21768e7c0ce336e4b8df62198a881c57e5f82a6936dbdc27ebe",
+    "gridworld beam-action saycanpay k=1 say=trained":
+        "22d4ada374d121c1cef4091f4a0a6fd3d21253cd710fda0b141680987f5d0e66",
+    "gridworld beam-action saycanpay k=2 say=trained":
+        "0b5db12e2190c0927469931e533d1f7bb1ec2c0efaa4f37161334d27da857a66",
+    "gridworld beam-action saycanpay k=3 say=trained":
+        "c228a366273ee9e79b5f09ac8ba7ca4e73aeb095d0072a7467381fac3dbd6e56",
+    "gridworld greedy-action saycan k=1 say=perfect-say":
+        "d96bd995a0d86ef1632ff8c94174e688f86590c8591cc83774f7304e18cedd06",
+    "gridworld greedy-action saycan k=1 say=trained":
+        "6edf25d6dd1319f0a325829bc8b26f03a9b442ec2933c66a2601a6d93580e3a4",
+    "gridworld greedy-action saycanpay k=1 say=perfect-say":
+        "e25f0838b61555db3559f52b436463577f7da9295bb0ae7144e74a00b743bfcc",
+    "gridworld greedy-action saycanpay k=1 say=trained":
+        "fd1103004d834fd96a35f5cd64883071cea335c5fb2e1da8187201fdb5afac29",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_seed_zero_splits_and_grid_rows_are_pinned(full_data_dir, grid):
+    splits = {
+        key: _sha256(split_path(full_data_dir, *key).read_bytes())
+        for key in PINNED_SPLIT_SHA256
+    }
+    assert splits == PINNED_SPLIT_SHA256
+    rows = {
+        f"{row['env']} {row['strategy']} {row['score']} k={row['k']} "
+        f"{row['backends'].split(',')[0]}": _sha256(json.dumps(row, sort_keys=True).encode())
+        for row in grid["cells"]
+        if row["seed"] == 0
+    }
+    assert rows == PINNED_GRID_ROW_SHA256

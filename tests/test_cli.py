@@ -421,6 +421,33 @@ class TestExitCodes:
         assert "each disk" in errors[0]
 
     @pytest.mark.parametrize(
+        "backends",
+        [(), ("--backend-say", "perfect-say", "--backend-can", "oracle",
+              "--backend-pay", "oracle")],
+        ids=["trained", "oracle"],
+    )
+    @pytest.mark.parametrize("command", ["plan", "eval"])
+    def test_a_hanoi_row_naming_blocks_returns_two_naming_the_line(
+        self, command, backends, tiny_data_dir, tiny_model_dir, tmp_path
+    ):
+        lines = (tiny_data_dir / "hanoi_test.jsonl").read_text().splitlines()
+        row = json.loads(lines[1])
+        row["env"] = "blocks"
+        lines[1] = json.dumps(row)
+        (tmp_path / "hanoi_test.jsonl").write_text("\n".join(lines) + "\n")
+        out = ("--out", str(tmp_path / "out")) if command == "eval" else ()
+        proc = run_cli(
+            command, "--env", "hanoi", *backends, *out,
+            "--data", str(tmp_path), "--models", str(tiny_model_dir),
+        )
+        assert proc.returncode == 2
+        errors = proc.stderr.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert "hanoi_test.jsonl line 2:" in errors[0]
+        assert "env 'blocks' is not 'hanoi'" in errors[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ["gen-data", "--jobs", "2"],
@@ -432,6 +459,18 @@ class TestExitCodes:
     )
     def test_ignored_flags_are_gone(self, flags):
         assert run_cli(*flags).returncode == 1
+
+    def test_ablate_takes_no_delta(self, tiny_data_dir, tiny_model_dir, tmp_path):
+        """No ablation cell has an oracle Pay, so `--delta` is not a flag of
+        ablate."""
+        proc = run_cli(
+            "ablate", "beam-size", "--delta", "0.9", "--env", "hanoi",
+            "--data", str(tiny_data_dir), "--models", str(tiny_model_dir),
+            "--out", str(tmp_path / "out"),
+        )
+        assert proc.returncode == 1
+        assert "unrecognized arguments: --delta" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 def _command_flags():

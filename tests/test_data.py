@@ -67,17 +67,16 @@ GOLDEN_SPLIT_SHA256 = {
 def test_generated_split_bytes_are_pinned(env_id, split, tmp_path):
     env = get_env(env_id)
     path = tmp_path / "split.jsonl"
-    write_trajectories(env, generate_split(env, split, 30, 0), path)
+    write_trajectories(generate_split(env, split, 30, 0), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_SPLIT_SHA256[env_id, split]
 
 
 @pytest.mark.parametrize("env_id", ENV_IDS)
 def test_train_and_test_pair_spaces_are_disjoint(env_id, small_sets):
-    env = get_env(env_id)
     for split, trajectories in small_sets[env_id].items():
         for traj in trajectories:
-            assert pair_split(env, traj.episode) == split
+            assert pair_split(traj.episode) == split
 
 
 @pytest.mark.parametrize("env_id", ENV_IDS)
@@ -85,7 +84,7 @@ def test_rows_roundtrip_and_replay(env_id, small_sets, tmp_path):
     env = get_env(env_id)
     trajectories = small_sets[env_id]["train"]
     path = tmp_path / f"{env_id}.jsonl"
-    write_trajectories(env, trajectories, path)
+    write_trajectories(trajectories, path)
     restored = read_trajectories(env, path)
     assert len(restored) == len(trajectories)
     by_id = {t.episode.episode_id: t for t in trajectories}
@@ -105,7 +104,7 @@ def test_unsorted_gridworld_objects_are_a_malformed_line(small_sets, tmp_path):
     of order fails GridState's check, and the error names the line."""
     env = get_env("gridworld")
     path = tmp_path / "gridworld.jsonl"
-    write_trajectories(env, small_sets["gridworld"]["train"], path)
+    write_trajectories(small_sets["gridworld"]["train"], path)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     number = next(
         n for n, row in enumerate(rows, start=1) if len(row["init_state"]["objects"]) > 1
@@ -116,14 +115,18 @@ def test_unsorted_gridworld_objects_are_a_malformed_line(small_sets, tmp_path):
         read_trajectories(env, path)
 
 
-def _pop_a_disk(state):
-    rod = next(r for r in state["rods"] if r)
+def _pop_a_disk(row):
+    rod = next(r for r in row["init_state"]["rods"] if r)
     rod.pop()
 
 
-def _flip_a_rod(state):
-    rod = next(r for r in state["rods"] if len(r) > 1)
+def _flip_a_rod(row):
+    rod = next(r for r in row["init_state"]["rods"] if len(r) > 1)
     rod.reverse()
+
+
+def _name_another_env(row):
+    row["env"] = "blocks"
 
 
 def _blocks_and_bowls(state):
@@ -132,27 +135,27 @@ def _blocks_and_bowls(state):
     return blocks, sorted(e for e in listing if " bowl " in f" {e} ")
 
 
-def _move_the_agent_outside(state):
-    state["agent_room"] = state["n_rooms"]
+def _move_the_agent_outside(row):
+    row["init_state"]["agent_room"] = row["init_state"]["n_rooms"]
 
 
-def _put_an_object_outside(state):
-    state["objects"][0][2] = state["n_rooms"]
+def _put_an_object_outside(row):
+    row["init_state"]["objects"][0][2] = row["init_state"]["n_rooms"]
 
 
-def _place_twice(state):
-    blocks, bowls = _blocks_and_bowls(state)
-    state["placements"] = [[blocks[0], bowls[0]], [blocks[0], bowls[1]]]
+def _place_twice(row):
+    blocks, bowls = _blocks_and_bowls(row["init_state"])
+    row["init_state"]["placements"] = [[blocks[0], bowls[0]], [blocks[0], bowls[1]]]
 
 
-def _place_unsorted(state):
-    blocks, bowls = _blocks_and_bowls(state)
-    state["placements"] = [[blocks[1], bowls[0]], [blocks[0], bowls[0]]]
+def _place_unsorted(row):
+    blocks, bowls = _blocks_and_bowls(row["init_state"])
+    row["init_state"]["placements"] = [[blocks[1], bowls[0]], [blocks[0], bowls[0]]]
 
 
-def _place_an_unlisted_block(state):
-    _, bowls = _blocks_and_bowls(state)
-    state["placements"] = [["pink block 9", bowls[0]]]
+def _place_an_unlisted_block(row):
+    _, bowls = _blocks_and_bowls(row["init_state"])
+    row["init_state"]["placements"] = [["pink block 9", bowls[0]]]
 
 
 @pytest.mark.parametrize(
@@ -160,6 +163,7 @@ def _place_an_unlisted_block(state):
     [
         ("hanoi", _pop_a_disk, "each disk"),
         ("hanoi", _flip_a_rod, "not descending"),
+        ("hanoi", _name_another_env, "env 'blocks' is not 'hanoi'"),
         ("blocks", _place_twice, "placed twice"),
         ("blocks", _place_unsorted, "not sorted"),
         ("blocks", _place_an_unlisted_block, "not a listed block"),
@@ -170,26 +174,25 @@ def _place_an_unlisted_block(state):
 def test_an_impossible_stored_state_is_a_malformed_line(
     env_id, corrupt, named, small_sets, tmp_path
 ):
-    """A row whose state breaks the env's state rule is refused where the
-    split is read, and the error names its line."""
+    """A row whose state breaks the env's state rule, or that names another
+    env, is refused where the split is read, and the error names its line."""
     env = get_env(env_id)
     path = tmp_path / f"{env_id}.jsonl"
-    write_trajectories(env, small_sets[env_id]["train"], path)
+    write_trajectories(small_sets[env_id]["train"], path)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     number = next(
         n for n, row in enumerate(rows, start=1)
         if env_id != "hanoi" or any(len(rod) > 1 for rod in row["init_state"]["rods"])
     )
-    corrupt(rows[number - 1]["init_state"])
+    corrupt(rows[number - 1])
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     with pytest.raises(DataFileError, match=f"line {number}:.*{named}"):
         read_trajectories(env, path)
 
 
 def test_jsonl_schema_and_sorted_order(small_sets, tmp_path):
-    env = get_env("blocks")
     path = tmp_path / "rows.jsonl"
-    write_trajectories(env, small_sets["blocks"]["train"], path)
+    write_trajectories(small_sets["blocks"]["train"], path)
     with open(path, encoding="utf-8") as fh:
         rows = [json.loads(line) for line in fh]
     ids = [r["episode_id"] for r in rows]
@@ -205,10 +208,9 @@ def test_jsonl_schema_and_sorted_order(small_sets, tmp_path):
 
 
 def test_rewrites_are_byte_identical(small_sets, tmp_path):
-    env = get_env("hanoi")
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_trajectories(env, small_sets["hanoi"]["train"], a)
-    write_trajectories(env, small_sets["hanoi"]["train"], b)
+    write_trajectories(small_sets["hanoi"]["train"], a)
+    write_trajectories(small_sets["hanoi"]["train"], b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -318,6 +320,5 @@ class TestPaySamples:
 
 
 def test_expert_trajectories_are_minimal(small_sets):
-    env = get_env("hanoi")
     for traj in small_sets["hanoi"]["train"][:10]:
-        assert len(traj.actions) == len(bfs_plan(env, traj.episode).actions)
+        assert len(traj.actions) == len(bfs_plan(traj.episode).actions)

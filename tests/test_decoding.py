@@ -19,7 +19,7 @@ from saycanpay.decoding import (
     run_strategy,
     word_edit_distance,
 )
-from saycanpay.envs import get_env, reset
+from saycanpay.envs import reset
 from saycanpay.oracle import OracleCan, OraclePay, ReplayCache
 
 
@@ -83,11 +83,10 @@ class TestDecodingConfig:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_unknown_score_mode_rejected(self, strategy):
-        env = get_env("hanoi")
         spec = reset("hanoi", 0, "train")
         with pytest.raises(ContractError, match="score mode"):
             config = DecodingConfig(strategy=strategy, score_mode="bogus")
-            run_strategy(spec, config, UniformSay(ReplayCache(env, spec)))
+            run_strategy(spec, config, UniformSay(ReplayCache(spec)))
 
 
 class _ScriptedSay:
@@ -115,10 +114,9 @@ _TABLE_ACTIONS = make_vocab("go north", "go east", "go south", "done now", "done
 class TestGreedyBeamEquivalence:
     @pytest.mark.parametrize("score_mode", ["say", "saycan", "saycanpay"])
     def test_beam_one_is_greedy_with_oracle_scorers(self, score_mode):
-        env = get_env("hanoi")
         for seed in range(10):
             spec = reset("hanoi", seed, "test")
-            oracle = ReplayCache(env, spec)
+            oracle = ReplayCache(spec)
             say = UniformSay(oracle)
             can, pay = OracleCan(oracle), OraclePay(oracle)
             config = DecodingConfig(
@@ -210,10 +208,9 @@ class TestBeamSearch:
         )
 
     def test_wider_beams_never_lower_the_final_score(self):
-        env = get_env("gridworld")
         for seed in range(10):
             spec = reset("gridworld", seed, "test")
-            oracle = ReplayCache(env, spec)
+            oracle = ReplayCache(spec)
             say = UniformSay(oracle)
             can, pay = OracleCan(oracle), OraclePay(oracle)
             scores = []
@@ -295,9 +292,8 @@ class TestExpandCandidates:
 
 class TestGreedyToken:
     def test_uniform_policy_repeats_the_heaviest_prefix(self):
-        env = get_env("hanoi")
         spec = replace(reset("hanoi", 0, "train"), max_steps=5)
-        say = UniformSay(ReplayCache(env, spec))
+        say = UniformSay(ReplayCache(spec))
         config = DecodingConfig(strategy="greedy-token")
         result = run_strategy(spec, config, say)
         # the nine move actions share the "move" prefix and outweigh done;
@@ -338,16 +334,15 @@ class TestGreedyToken:
         # greedy-token reads the vocabulary and full distribution of its proposer
         spec = reset("hanoi", 0, "train")
         config = DecodingConfig(strategy="greedy-token")
-        for say in (None, PerfectSay(ReplayCache(get_env("hanoi"), spec))):
+        for say in (None, PerfectSay(ReplayCache(spec))):
             with pytest.raises(ContractError, match="greedy-token"):
                 run_strategy(spec, config, say)
 
 
 class TestRunStrategy:
     def test_dispatch_matches_direct_calls(self):
-        env = get_env("blocks")
         spec = reset("blocks", 1, "test")
-        oracle = ReplayCache(env, spec)
+        oracle = ReplayCache(spec)
         say = UniformSay(oracle)
         can, pay = OracleCan(oracle), OraclePay(oracle)
         config = DecodingConfig(strategy="greedy-action", score_mode="saycanpay")
@@ -356,9 +351,8 @@ class TestRunStrategy:
         assert via_dispatch == direct
 
     def test_missing_can_pay_default_to_one(self):
-        env = get_env("blocks")
         spec = reset("blocks", 1, "test")
-        say = UniformSay(ReplayCache(env, spec))
+        say = UniformSay(ReplayCache(spec))
         config = DecodingConfig(strategy="greedy-action", score_mode="say")
         result = run_strategy(spec, config, say)
         assert all(c.p_can == 1.0 and c.f_pay == 1.0 for c in result.per_step)

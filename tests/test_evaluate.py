@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -54,10 +55,9 @@ def fake_result(reached, plan_length, optimal_length):
 
 class TestExecutePlan:
     def test_expert_plan_reaches_goal(self):
-        env = get_env("hanoi")
         spec = reset("hanoi", 0, "test")
-        traj = bfs_plan(env, spec)
-        result = execute_plan(env, spec, plan_of(traj.actions), len(traj.actions))
+        traj = bfs_plan(spec)
+        result = execute_plan(spec, plan_of(traj.actions), len(traj.actions))
         assert result.executed_ok and result.reached_goal
         assert result.plan_length == result.optimal_length == len(traj.actions)
 
@@ -69,24 +69,22 @@ class TestExecutePlan:
             for a in env.admissible_actions(spec)
             if not env.precondition_holds(spec.init_state, spec.goal, a)
         )
-        result = execute_plan(env, spec, plan_of([infeasible]), 3)
+        result = execute_plan(spec, plan_of([infeasible]), 3)
         assert not result.executed_ok
         assert not result.reached_goal
 
     def test_missing_done_means_no_success(self):
-        env = get_env("hanoi")
         spec = reset("hanoi", 0, "test")
-        traj = bfs_plan(env, spec)
+        traj = bfs_plan(spec)
         truncated = plan_of(traj.actions[:-1])  # feasible but no trailing done
-        result = execute_plan(env, spec, truncated, len(traj.actions))
+        result = execute_plan(spec, truncated, len(traj.actions))
         if truncated.plan:
             assert result.executed_ok
         assert not result.reached_goal
 
     def test_empty_plan_counts_length_one(self):
-        env = get_env("hanoi")
         spec = reset("hanoi", 0, "test")
-        result = execute_plan(env, spec, plan_of([]), 3)
+        result = execute_plan(spec, plan_of([]), 3)
         assert result.plan_length == 1
         assert not result.reached_goal
 
@@ -124,35 +122,37 @@ class TestEpisodeBackends:
     def test_oracle_roles_share_one_oracle(self):
         spec = reset("hanoi", 0, "test")
         choice = BackendChoice(say="perfect-say", can="oracle", pay="oracle")
-        say, can, pay = episode_backends(choice, ReplayCache(get_env("hanoi"), spec))
+        say, can, pay = episode_backends(choice, ReplayCache(spec))
         assert say.episode is can.episode is pay.episode
 
     @pytest.mark.parametrize(
         "choice",
         [
-            BackendChoice(say="psychic"),
-            BackendChoice(say="uniform", can="psychic"),
-            BackendChoice(say="uniform", can="oracle", pay="psychic"),
-            BackendChoice(say="trained", can="oracle", pay="oracle"),
-            BackendChoice(say="uniform", can="trained", pay="oracle"),
-            BackendChoice(say="uniform", can="oracle", pay="trained"),
-            BackendChoice(say="external", can="oracle", pay="oracle"),
+            dict(say="psychic"),
+            dict(say="uniform", can="psychic"),
+            dict(say="uniform", can="oracle", pay="psychic"),
+            dict(say="trained", can="oracle", pay="oracle"),
+            dict(say="uniform", can="trained", pay="oracle"),
+            dict(say="uniform", can="oracle", pay="trained"),
+            dict(say="external", can="oracle", pay="oracle"),
         ],
     )
     def test_bad_choice_is_a_contract_error(self, choice):
+        """An unknown name, or a trained or external Say without its policy or
+        endpoint, fails when the choice is built; a trained Can or Pay without
+        its model fails when an episode's backends are."""
         spec = reset("hanoi", 0, "test")
         with pytest.raises(ContractError):
-            episode_backends(choice, ReplayCache(get_env("hanoi"), spec))
+            episode_backends(BackendChoice(**choice), ReplayCache(spec))
 
 
 class TestEvaluateEpisodes:
     def test_parallel_matches_serial(self):
-        env = get_env("hanoi")
-        trajectories = [bfs_plan(env, reset("hanoi", s, "test")) for s in range(4)]
+        trajectories = [bfs_plan(reset("hanoi", s, "test")) for s in range(4)]
         config = DecodingConfig(strategy="greedy-action", score_mode="saycanpay")
         cells = [(ORACLE_BACKENDS, config)]
-        serial = evaluate_episodes("hanoi", trajectories, cells, jobs=1)
-        parallel = evaluate_episodes("hanoi", trajectories, cells, jobs=2)
+        serial = evaluate_episodes(trajectories, cells, jobs=1)
+        parallel = evaluate_episodes(trajectories, cells, jobs=2)
         assert [r.episode_id for r in serial] == [r.episode_id for r in parallel]
         for a, b in zip(serial, parallel):
             assert [x.text for x in a.plan.plan] == [x.text for x in b.plan.plan]
@@ -192,9 +192,28 @@ class TestEvaluateEpisodes:
             return [(r.episode_id, r.plan, r.executed_ok, r.reached_goal) for r in results]
 
         per_cell = [r for cell in cells
-                    for r in evaluate_episodes("hanoi", trajectories, [cell], jobs=1)]
-        together = evaluate_episodes("hanoi", trajectories, cells, jobs=jobs)
+                    for r in evaluate_episodes(trajectories, [cell], jobs=1)]
+        together = evaluate_episodes(trajectories, cells, jobs=jobs)
         assert outcome(together) == outcome(per_cell)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_episodes_of_two_envs_in_one_call_match_one_call_per_env(
+        self, jobs, tiny_data_dir
+    ):
+        """Each episode is planned in the env its spec names, so one call may
+        mix envs."""
+        per_env = [
+            read_trajectories(get_env(env_id), split_path(tiny_data_dir, env_id, "test"))
+            for env_id in ("hanoi", "gridworld")
+        ]
+        cells = [(ORACLE_BACKENDS,
+                  DecodingConfig(strategy="greedy-action", score_mode="saycanpay"))]
+        separate = [r for ts in per_env for r in evaluate_episodes(ts, cells, jobs=1)]
+        mixed = evaluate_episodes([t for ts in per_env for t in ts], cells, jobs=jobs)
+        assert {r.episode_id.split("-")[0] for r in mixed} == {"hanoi", "gridworld"}
+        assert [replace(r, wall_time=0.0) for r in mixed] == [
+            replace(r, wall_time=0.0) for r in separate
+        ]
 
 
 class TestOneCachePerEpisode:
@@ -315,9 +334,9 @@ class TestRunCells:
         action_probs = SayPolicy.action_probs
         trained_probs = TrainedSay.action_probs
 
-        def tracking_plan(env_id, traj, *args, **kwargs):
+        def tracking_plan(traj, *args, **kwargs):
             episode[0] = traj.episode.episode_id
-            return plan_episode(env_id, traj, *args, **kwargs)
+            return plan_episode(traj, *args, **kwargs)
 
         def counting_probs(self, history, goal, vocab):
             computed.append((episode[0], history))
@@ -378,7 +397,7 @@ class TestSharedRows:
         monkeypatch.setattr(backends, "featurize", counting_featurize)
         monkeypatch.setattr(decoding, "expand_candidates", recording_expand)
         config = DecodingConfig(strategy="beam-action", score_mode="saycanpay")
-        evaluate.plan_episode(env_id, traj, choice, config)
+        evaluate.plan_episode(traj, choice, config)
 
         lists = {(history, tuple(c.action for c in scored))
                  for history, scored in expansions if scored}

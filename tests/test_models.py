@@ -338,7 +338,7 @@ class TestSayProposals:
         for _, p in top:
             assert p == pytest.approx(1.0 / len(vocab))
         # the uniform backend proposes through the same top-m rule
-        uniform = UniformSay(ReplayCache(get_env("hanoi"), spec))
+        uniform = UniformSay(ReplayCache(spec))
         for m in (1, 3, len(vocab), len(vocab) + 1):
             assert uniform.propose(History(spec.init_obs), m) == [
                 (a, 1.0 / len(vocab)) for a in vocab[:m]
@@ -364,7 +364,7 @@ class TestSayProposals:
             say_top_m(probs, vocab, 0)
         with pytest.raises(ContractError):
             say_top_m(np.array([]), [], 1)
-        uniform = UniformSay(ReplayCache(get_env("hanoi"), spec))
+        uniform = UniformSay(ReplayCache(spec))
         with pytest.raises(ContractError):
             uniform.propose(History(spec.init_obs), 0)
 

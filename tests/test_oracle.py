@@ -46,7 +46,7 @@ def test_bfs_plan_length_matches_exhaustive_search(env_id):
     env = get_env(env_id)
     for seed in range(50):
         spec = reset(env_id, seed, "train")
-        traj = bfs_plan(env, spec)
+        traj = bfs_plan(spec)
         assert len(traj.actions) == exhaustive_shortest(env, spec)
 
 
@@ -55,7 +55,7 @@ def test_bfs_plan_executes_and_ends_in_done(env_id):
     env = get_env(env_id)
     for seed in range(20):
         spec = reset(env_id, seed, "train")
-        traj = bfs_plan(env, spec)
+        traj = bfs_plan(spec)
         state = spec.init_state
         for action in traj.actions:
             assert env.precondition_holds(state, spec.goal, action)
@@ -66,9 +66,8 @@ def test_bfs_plan_executes_and_ends_in_done(env_id):
 
 
 def test_bfs_plan_is_deterministic():
-    env = get_env("blocks")
     spec = reset("blocks", 5, "train")
-    assert bfs_plan(env, spec).actions == bfs_plan(env, spec).actions
+    assert bfs_plan(spec).actions == bfs_plan(spec).actions
 
 
 def test_unsolvable_episode_raises():
@@ -82,17 +81,17 @@ def test_unsolvable_episode_raises():
     if env.is_goal(spec.init_state, spec.goal):
         pytest.skip("goal already satisfied at the start")
     with pytest.raises(UnsolvableError):
-        bfs_plan(env, broken)
+        bfs_plan(broken)
 
 
 def test_plan_from_the_goal_is_the_done_action():
     env = get_env("hanoi")
     spec = reset("hanoi", 0, "train")
-    traj = bfs_plan(env, spec)
+    traj = bfs_plan(spec)
     state = spec.init_state
     for action in traj.actions[:-1]:
         state = env.step(state, spec.goal, action)
-    assert ReplayCache(env, spec).plan_from(state) == traj.actions[-1:]
+    assert ReplayCache(spec).plan_from(state) == traj.actions[-1:]
 
 
 def test_plan_from_an_unsolvable_state_is_none():
@@ -104,7 +103,7 @@ def test_plan_from_an_unsolvable_state_is_none():
     )
     if env.is_goal(spec.init_state, spec.goal):
         pytest.skip("goal already satisfied at the start")
-    assert ReplayCache(env, broken).plan_from(spec.init_state) is None
+    assert ReplayCache(broken).plan_from(spec.init_state) is None
 
 
 def _random_walk(env, spec, choices):
@@ -138,7 +137,7 @@ def test_plan_from_matches_a_fresh_search(data, env_id, seed, max_steps):
     spec = reset(env_id, seed, "train")
     if max_steps is not None:
         spec = replace(spec, max_steps=max_steps)
-    oracle = ReplayCache(env, spec)
+    oracle = ReplayCache(spec)
     walks = data.draw(st.lists(_WALK, min_size=1, max_size=4))
     pending = [_random_walk(env, spec, walk) for walk in walks]
     for _ in range(12):
@@ -306,7 +305,7 @@ def _successors(env, spec, state):
 def test_a_capped_failed_search_memoizes_its_start_only(monkeypatch):
     env, spec, dead = _dead_blocks_state()
     capped = replace(spec, max_steps=2)  # one move: the successors are not expanded
-    oracle = ReplayCache(env, capped)
+    oracle = ReplayCache(capped)
     calls = _count_searches(monkeypatch)
     assert oracle.plan_from(dead) is None
     assert oracle.plan_from(dead) is None
@@ -320,8 +319,8 @@ class TestReplayCache:
     def test_replays_expert_prefixes(self):
         env = get_env("gridworld")
         spec = reset("gridworld", 3, "train")
-        traj = bfs_plan(env, spec)
-        cache = ReplayCache(env, spec)
+        traj = bfs_plan(spec)
+        cache = ReplayCache(spec)
         history = History(spec.init_obs)
         state = spec.init_state
         assert cache.state_for(history) == state
@@ -333,7 +332,7 @@ class TestReplayCache:
     def test_broken_history_maps_to_none(self):
         env = get_env("hanoi")
         spec = reset("hanoi", 0, "train")
-        cache = ReplayCache(env, spec)
+        cache = ReplayCache(spec)
         infeasible = next(
             a
             for a in env.admissible_actions(spec)
@@ -354,7 +353,7 @@ class TestOracleCan:
     def test_matches_preconditions(self):
         env = get_env("blocks")
         spec = reset("blocks", 2, "train")
-        can = OracleCan(ReplayCache(env, spec))
+        can = OracleCan(ReplayCache(spec))
         vocab = env.admissible_actions(spec)
         expected = [
             1.0 if env.precondition_holds(spec.init_state, spec.goal, a) else 0.0
@@ -365,7 +364,7 @@ class TestOracleCan:
     def test_broken_history_scores_zero(self):
         env = get_env("blocks")
         spec = reset("blocks", 2, "train")
-        can = OracleCan(ReplayCache(env, spec))
+        can = OracleCan(ReplayCache(spec))
         put = next(a for a in env.admissible_actions(spec) if not a.is_done)
         history = History(spec.init_obs).extended(put).extended(put)
         assert can(history, [put, put]) == [0.0, 0.0]
@@ -373,10 +372,9 @@ class TestOracleCan:
 
 class TestOraclePay:
     def test_discounted_chain_along_expert_plan(self):
-        env = get_env("gridworld")
         spec = reset("gridworld", 1, "train")
-        traj = bfs_plan(env, spec)
-        pay = OraclePay(ReplayCache(env, spec))
+        traj = bfs_plan(spec)
+        pay = OraclePay(ReplayCache(spec))
         history = History(spec.init_obs)
         horizon = len(traj.actions)
         for t, action in enumerate(traj.actions, start=1):
@@ -384,25 +382,23 @@ class TestOraclePay:
             history = history.extended(action)
 
     def test_done_at_goal_pays_one(self):
-        env = get_env("hanoi")
         spec = reset("hanoi", 4, "train")
-        traj = bfs_plan(env, spec)
+        traj = bfs_plan(spec)
         history = History(spec.init_obs)
         for action in traj.actions[:-1]:
             history = history.extended(action)
-        assert OraclePay(ReplayCache(env, spec))(history, [traj.actions[-1]]) == [1.0]
+        assert OraclePay(ReplayCache(spec))(history, [traj.actions[-1]]) == [1.0]
 
     def test_one_step_from_goal_pays_delta(self):
-        env = get_env("hanoi")
         for seed in range(30):
             spec = reset("hanoi", seed, "train")
-            traj = bfs_plan(env, spec)
+            traj = bfs_plan(spec)
             if len(traj.actions) < 2:
                 continue
             history = History(spec.init_obs)
             for action in traj.actions[:-2]:
                 history = history.extended(action)
-            pay = OraclePay(ReplayCache(env, spec))
+            pay = OraclePay(ReplayCache(spec))
             assert pay(history, [traj.actions[-2]]) == pytest.approx([DELTA])
             return
         pytest.fail("no multi-step episode found")
@@ -410,7 +406,7 @@ class TestOraclePay:
     def test_infeasible_action_pays_zero(self):
         env = get_env("hanoi")
         spec = reset("hanoi", 0, "train")
-        pay = OraclePay(ReplayCache(env, spec))
+        pay = OraclePay(ReplayCache(spec))
         history = History(spec.init_obs)
         infeasible = next(
             a
@@ -428,7 +424,7 @@ class TestOraclePay:
         )
         if env.is_goal(spec.init_state, spec.goal):
             pytest.skip("goal already satisfied at the start")
-        pay = OraclePay(ReplayCache(env, capped))
+        pay = OraclePay(ReplayCache(capped))
         history = History(spec.init_obs)
         feasible_moves = [
             a
