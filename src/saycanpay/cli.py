@@ -161,6 +161,8 @@ def _resolve(args: argparse.Namespace, **defaults) -> dict:
             if name not in OPTIONS:
                 raise ContractError(f"config {config_path}: unknown key {key!r}")
             resolved[name] = _checked(config_path, name, value)
+            if name not in vars(args):  # an option this command has no flag for
+                raise ContractError(f"config {config_path}: {args.command} takes no {key!r}")
     for key, value in vars(args).items():
         if key not in ("command", "config", "ablation") and value is not None:
             resolved[key] = value

@@ -71,7 +71,7 @@ def infonce_loss(
 
 
 def mse_loss(pred: float, target: float) -> tuple[float, float]:
-    """Squared error and its gradient with respect to the prediction."""
+    """Squared error and its gradient with respect to the prediction(s)."""
     diff = pred - target
     return diff * diff, 2.0 * diff
 
@@ -157,7 +157,7 @@ class LinearScorer:
         }
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))  # one C-encoder pass; json.dump's is Python
 
     @classmethod
     def load(cls, path: Path) -> "LinearScorer":
@@ -271,19 +271,6 @@ def _compact(rows):
     return np.diff(indptr), buckets, narrow
 
 
-def _batch_logits(params: np.ndarray, samples, batch):
-    """Each sample's raw scores, from the minibatch's rows assembled once (one
-    concatenation per field, one widening, one gather); also returns those
-    rows' lengths, buckets and values for the gradient."""
-    rows = [samples[i][0] for i in batch]
-    lengths = np.concatenate([r[0] for r in rows])
-    buckets = np.concatenate([r[1] for r in rows])
-    values = np.concatenate([r[2] for r in rows], dtype=np.float64)
-    z = _row_dots(params[buckets], values, [0, *accumulate(lengths.tolist())], params[-1])
-    cuts = [0, *accumulate(len(r[0]) for r in rows)]
-    return [z[s:e] for s, e in zip(cuts, cuts[1:])], lengths, buckets, values
-
-
 def _split_train_val(n: int, val_fraction: float, rng: np.random.Generator):
     order = rng.permutation(n)
     n_val = max(1, int(round(n * val_fraction))) if n > 1 else 0
@@ -293,11 +280,12 @@ def _split_train_val(n: int, val_fraction: float, rng: np.random.Generator):
 def _fit(kind: str, env_id: str, samples, config: TrainConfig, loss_fn):
     """Minibatch AdamW over (compact candidate rows, target) samples.
 
-    `loss_fn(logits, target) -> (loss, dlogits)` gets one raw score per row.
-    A minibatch gradient is one `bincount` over the batch's (sample,
-    row)-ordered buckets, with the bias as bucket DIM.  Returns the scorer
-    (epoch losses filled in), the trained parameters (weights, then the
-    bias), and the train/validation indices.
+    `loss_fn(z, cuts, targets) -> (losses, dz)` takes a minibatch's flat raw
+    scores, each sample's cuts into them and the targets.  The gradient is one
+    `bincount` over the batch's (sample, row)-ordered buckets; the bias's is
+    `np.cumsum(dz)[-1]`, sequential like bincount (builtin `sum` is compensated
+    from CPython 3.12 on, `np.sum` pairwise).  Returns the trained scorer
+    (epoch losses filled in), `minibatches` and the train/validation indices.
     """
     if not samples:
         raise ContractError("empty dataset")
@@ -309,47 +297,72 @@ def _fit(kind: str, env_id: str, samples, config: TrainConfig, loss_fn):
     opt = AdamW(DIM + 1, config.lr, config.weight_decay, decay_mask=no_decay_on_bias)
     scorer = LinearScorer(kind, env_id, head=HEADS[kind], config=config.to_json())
     scorer.n_samples = len(samples)
+    # One reused buffer per nonzero field: fresh ones would fault in new pages
+    cap = sum(sorted(len(rows[1]) for rows, _ in samples)[-config.batch_size :])
+    scratch = np.empty(cap, np.intp), np.empty(cap), np.empty(cap)
+
+    def minibatches(indices):
+        """Each minibatch's raw scores (flat, in (sample, row) order), sample
+        cuts and targets, and its rows' lengths, buckets and values, assembled
+        once: buckets widened to intp once for the gather and the bincount."""
+        for s in range(0, len(indices), config.batch_size):
+            batch = [samples[i] for i in indices[s : s + config.batch_size].tolist()]
+            lengths = np.concatenate([rows[0] for rows, _ in batch])
+            bounds = [0, *accumulate(lengths.tolist())]
+            buckets, values, gathered = (a[: bounds[-1]] for a in scratch)
+            np.concatenate([rows[1] for rows, _ in batch], out=buckets)
+            np.concatenate([rows[2] for rows, _ in batch], out=values)
+            params.take(buckets, out=gathered, mode="clip")  # in range; "raise" copies
+            z = _row_dots(gathered, values, bounds, float(params[-1]))
+            cuts = [0, *accumulate(len(rows[0]) for rows, _ in batch)]
+            yield z, cuts, [target for _, target in batch], lengths, buckets, values
+
     for _ in range(config.epochs):
-        order = rng.permutation(train_idx)
         losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            z, lengths, buckets, values = _batch_logits(params, samples, batch)
-            out = [loss_fn(z_i, samples[i][1]) for z_i, i in zip(z, batch)]
-            losses += [loss for loss, _ in out]
-            dz_rows = np.concatenate([dz for _, dz in out])
-            grad = np.bincount(
-                np.concatenate([buckets, np.full(len(dz_rows), DIM, buckets.dtype)]),
-                np.concatenate([values * np.repeat(dz_rows, lengths), dz_rows]),
-                minlength=DIM + 1,
-            )
-            grad /= len(batch)
+        batches = minibatches(rng.permutation(train_idx))
+        for z, cuts, targets, lengths, buckets, values in batches:
+            batch_losses, dz = loss_fn(z, cuts, targets)
+            losses += batch_losses
+            weights = np.repeat(dz, lengths)
+            grad = np.bincount(buckets, np.multiply(weights, values, out=weights),
+                               minlength=DIM + 1)
+            grad[DIM] = np.cumsum(dz)[-1]
+            grad /= len(targets)
             opt.step(params, grad)
         avg = float(np.mean(losses))
         if not math.isfinite(avg):
             raise TrainingDivergedError(f"epoch loss {avg}")
         scorer.epoch_losses.append(avg)
-    return scorer, params, train_idx, val_idx
+    scorer.weights, scorer.bias = params[:-1].copy(), float(params[-1])
+    return scorer, minibatches, train_idx, val_idx
 
 
-def _infonce_logits(z, _target):
-    """InfoNCE over sigmoid scores; the positive candidate comes first."""
+def _infonce_logits(z, cuts, _targets):
+    """InfoNCE over each sample's sigmoid scores, its positive candidate first."""
     scores = [sigmoid(v) for v in z]
-    loss, (d_pos, d_negs) = infonce_loss(scores[0], scores[1:])
-    return loss, [ds * s * (1.0 - s) for s, ds in zip(scores, [d_pos] + d_negs)]
+    out = [infonce_loss(scores[a], scores[a + 1 : b]) for a, b in zip(cuts, cuts[1:])]
+    d_scores = [d for _, (d_pos, d_negs) in out for d in (d_pos, *d_negs)]
+    s = np.array(scores)
+    return [loss for loss, _ in out], np.array(d_scores) * s * (1.0 - s)
 
 
-def _mse_logits(z, target):
-    s = sigmoid(z[0])
-    loss, d_pred = mse_loss(s, target)
-    return loss, [d_pred * s * (1.0 - s)]
+def _mse_logits(z, _cuts, targets):
+    """`mse_loss` of each sample's one sigmoid score, over the batch's arrays."""
+    s = np.array([sigmoid(v) for v in z])
+    losses, d_pred = mse_loss(s, np.array(targets, dtype=float))
+    return losses.tolist(), d_pred * s * (1.0 - s)
 
 
-def _softmax_xent_logits(z, target):
-    p = softmax(np.array(z))
-    dz = p.copy()
-    dz[target] -= 1.0
-    return -math.log(max(p[target], 1e-300)), dz
+def _softmax_xent_logits(z, cuts, targets):
+    """Each sample's softmax cross-entropy: one max, exp and division for the
+    batch, but a pairwise `e.sum()` per sample, as `np.add.reduceat` is not."""
+    z, lengths, starts = np.array(z), np.diff(cuts), np.array(cuts[:-1])
+    e = np.exp(z - np.repeat(np.maximum.reduceat(z, starts), lengths))
+    p = e / np.repeat([e[a:b].sum() for a, b in zip(cuts, cuts[1:])], lengths)
+    hits = starts + targets
+    losses = [-math.log(max(q, 1e-300)) for q in p[hits].tolist()]
+    p[hits] -= 1.0
+    return losses, p
 
 
 def _can_f1(logits) -> float:
@@ -410,29 +423,22 @@ def train(model_kind: str, dataset, config: TrainConfig, env_id: str, env=None):
     else:
         data = list(_say_samples(dataset, env))
         loss_fn = _softmax_xent_logits
-    scorer, params, train_idx, val_idx = _fit(model_kind, env_id, data, config, loss_fn)
-
-    def logits(indices) -> list[list[float]]:
-        """Raw scores of each indexed sample, assembled a minibatch at a time."""
-        size = config.batch_size
-        return [z for s in range(0, len(indices), size)
-                for z in _batch_logits(params, data, indices[s : s + size])[0]]
-
+    scorer, batches, train_idx, val_idx = _fit(model_kind, env_id, data, config, loss_fn)
     if model_kind == "can":
-        scorer.val_metric = _can_f1(logits(val_idx))
+        scorer.val_metric = _can_f1([z[a:b] for z, cuts, *_ in batches(val_idx)
+                                     for a, b in zip(cuts, cuts[1:])])
         # InfoNCE only constrains the ranking, so the sigmoid outputs drift
         # toward zero for every candidate.  Shift the bias (ranking-preserving,
         # hence after the validation metric) so the 20th-percentile training
         # positive lands at ~0.9; nearly all feasible actions then contribute
         # ln p_can near zero while vetoed actions stay strongly negative.
-        pos_raws = sorted(z[0] for z in logits(train_idx))
+        pos_raws = sorted(z[a] for z, cuts, *_ in batches(train_idx) for a in cuts[:-1])
         if pos_raws:
-            params[-1] += CAN_CALIBRATION_RAW - pos_raws[len(pos_raws) // 5]
+            scorer.bias += CAN_CALIBRATION_RAW - pos_raws[len(pos_raws) // 5]
     else:
-        losses = [loss_fn(z, data[i][1])[0] for z, i in zip(logits(val_idx), val_idx)]
+        losses = [loss for z, cuts, targets, *_ in batches(val_idx)
+                  for loss in loss_fn(z, cuts, targets)[0]]
         scorer.val_metric = float(np.mean(losses)) if len(val_idx) else 0.0
-    scorer.weights = params[:-1].copy()
-    scorer.bias = float(params[-1])
     return SayPolicy(scorer) if model_kind == "say" else scorer
 
 

@@ -28,7 +28,16 @@ from saycanpay.data import (
 from saycanpay.decoding import PlanResult, expand_candidates
 from saycanpay.envs import ENV_IDS, get_env, reset
 from saycanpay.features import DIM, FEATURE_SCALE, PLAIN_SCALE, bucket, feature_grams
-from saycanpay.models import CAN_CALIBRATION_RAW, AdamW, TrainConfig, sigmoid, train
+from saycanpay.models import (
+    CAN_CALIBRATION_RAW,
+    AdamW,
+    TrainConfig,
+    infonce_loss,
+    mse_loss,
+    sigmoid,
+    softmax,
+    train,
+)
 from saycanpay.oracle import DELTA
 from saycanpay.trie import TokenTrie
 
@@ -198,10 +207,34 @@ def _reference_scatter(grad, feat, dz):
     grad[-1] += dz
 
 
+def reference_infonce_logits(z, _target):
+    """One Can sample's InfoNCE loss and raw-score gradient, its positive
+    candidate first: the per-sample form the batched head must reproduce."""
+    scores = [sigmoid(v) for v in z]
+    loss, (d_pos, d_negs) = infonce_loss(scores[0], scores[1:])
+    return loss, [ds * s * (1.0 - s) for s, ds in zip(scores, [d_pos] + d_negs)]
+
+
+def reference_mse_logits(z, target):
+    """One Pay sample's squared error and raw-score gradient."""
+    s = sigmoid(z[0])
+    loss, d_pred = mse_loss(s, target)
+    return loss, [d_pred * s * (1.0 - s)]
+
+
+def reference_softmax_xent_logits(z, target):
+    """One Say sample's softmax cross-entropy and raw-score gradient."""
+    p = softmax(np.array(z))
+    dz = p.copy()
+    dz[target] -= 1.0
+    return -math.log(max(p[target], 1e-300)), dz
+
+
 def reference_train(kind, dataset, config, env=None):
     """Independent per-row training loop: one feature row, one dot and one
-    `np.add.at` per candidate.  The library featurizes each candidate list at
-    once and takes one `bincount` per minibatch; this loop is the reference
+    `np.add.at` per candidate, and one per-sample loss call.  The library
+    featurizes each candidate list at once, scores a whole minibatch per loss
+    call and takes one `bincount` per minibatch; this loop is the reference
     that bit-identity is checked against.  Returns (weights, bias,
     epoch_losses, val_metric)."""
     if kind == "can":
@@ -210,11 +243,11 @@ def reference_train(kind, dataset, config, env=None):
               for a in (s.positive, s.neg_same, s.neg_cross)], None)
             for s in dataset
         ]
-        loss_fn = models._infonce_logits
+        loss_fn = reference_infonce_logits
     elif kind == "pay":
         data = [([_reference_row(s.goal, s.history, s.action)], s.target)
                 for s in dataset]
-        loss_fn = models._mse_logits
+        loss_fn = reference_mse_logits
     else:
         data = []
         for traj in dataset:
@@ -226,7 +259,7 @@ def reference_train(kind, dataset, config, env=None):
                          for a in vocab]
                 data.append((feats, target[action.text]))
                 history = history.extended(action)
-        loss_fn = models._softmax_xent_logits
+        loss_fn = reference_softmax_xent_logits
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = models._split_train_val(len(data), config.val_fraction, rng)
     params = np.zeros(DIM + 1)

@@ -130,6 +130,30 @@ class TestConfigPrecedence:
         assert named in proc.stderr
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [(["ablate", "beam-size"], "delta", 0.9), (["gen-data"], "k", 3)],
+        ids=["ablate-delta", "gen-data-k"],
+    )
+    def test_a_config_key_the_command_has_no_flag_for_returns_one(
+        self, tmp_path, command, key, value
+    ):
+        """A known option the command takes no flag for is refused from a
+        config file as it is as a flag: exit 1 naming the key and the
+        command, before any write."""
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({key: value}))
+        work = tmp_path / "work"
+        paths = ["--data", str(work / "data")]
+        if command[0] == "ablate":
+            paths += ["--models", str(work / "models"), "--out", str(work / "out")]
+        from_file = run_cli(*command, *paths, "--config", str(config))
+        assert from_file.returncode == 1
+        assert f"{command[0]} takes no '{key}'" in from_file.stderr
+        as_flag = run_cli(*command, *paths, f"--{key}", str(value))
+        assert as_flag.returncode == 1
+        assert not work.exists()
+
     def test_eval_takes_strategy_and_score_from_the_config_file(
         self, tiny_data_dir, tmp_path
     ):

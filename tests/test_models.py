@@ -5,6 +5,7 @@ import math
 import socket
 import threading
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -40,7 +41,14 @@ from saycanpay.models import (
 from saycanpay.oracle import ReplayCache
 from saycanpay.trie import TokenTrie
 
-from conftest import random_reachable_history, reference_featurize, reference_train
+from conftest import (
+    random_reachable_history,
+    reference_featurize,
+    reference_infonce_logits,
+    reference_mse_logits,
+    reference_softmax_xent_logits,
+    reference_train,
+)
 
 
 class TestLosses:
@@ -80,6 +88,44 @@ class TestHeads:
         p = softmax(z)
         assert p.sum() == pytest.approx(1.0)
         assert np.allclose(p, softmax(z + 100.0))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12))
+def test_batched_loss_heads_match_the_per_sample_forms(data, sizes):
+    """Each loss head scores a whole minibatch (flat raw scores cut into
+    samples) and returns bit for bit the losses and raw-score gradients of the
+    per-sample forms, segments of 8 and more included (`e.sum()` then sums
+    pairwise).  The bias gradient `np.cumsum(dz)[-1]` is the sequential sum
+    from 0.0 that bincount took over the bias bucket."""
+    cuts = [0, *accumulate(sizes)]
+    n = len(sizes)
+
+    def floats(low, high, size):
+        return data.draw(st.lists(st.floats(low, high), min_size=size, max_size=size))
+
+    cases = [  # Can logits stay where every sigmoid score is positive
+        (models._infonce_logits, reference_infonce_logits, floats(-40, 40, cuts[-1]),
+         cuts, [None] * n),
+        (models._softmax_xent_logits, reference_softmax_xent_logits,
+         floats(-1000, 1000, cuts[-1]), cuts,
+         [data.draw(st.integers(0, size - 1)) for size in sizes]),
+        (models._mse_logits, reference_mse_logits, floats(-1000, 1000, n),
+         list(range(n + 1)), floats(0, 1, n)),
+    ]
+    for head, reference, z, head_cuts, targets in cases:
+        losses, dz = head(z, head_cuts, targets)
+        expected = [reference(z[a:b], t) for a, b, t in zip(head_cuts, head_cuts[1:], targets)]
+        assert _bits(losses) == _bits([loss for loss, _ in expected])
+        assert _bits(dz) == _bits(np.concatenate([d for _, d in expected]))
+        total = 0.0
+        for d in dz.tolist():
+            total += d
+        assert np.cumsum(dz)[-1] == total
 
 
 def _random_sparse_feature(rng):
@@ -394,9 +440,12 @@ class TestPerfectSay:
 
 
 class TestTraining:
-    @pytest.mark.parametrize("env_id", ENV_IDS)
-    @pytest.mark.parametrize("kind", ["can", "pay", "say"])
-    def test_batched_training_matches_the_per_row_loop(self, env_id, kind):
+    @pytest.mark.parametrize("env_id, kind, batch_size", [
+        pytest.param(env_id, kind, size, id=f"{kind}-{env_id}{suffix}")
+        for size, suffix in [(7, ""), (1, "-batch-1"), (10_000, "-batch-above-dataset")]
+        for kind in ("can", "pay", "say") for env_id in ENV_IDS
+    ])
+    def test_batched_training_matches_the_per_row_loop(self, env_id, kind, batch_size):
         from saycanpay.data import generate_split, make_can_samples, make_pay_samples
 
         env = get_env(env_id)
@@ -406,8 +455,11 @@ class TestTraining:
             "pay": lambda: make_pay_samples(trajectories, seed=1),
             "say": lambda: trajectories,
         }[kind]()
-        # several epochs of full and partial minibatches
-        config = TrainConfig(epochs=4, batch_size=7, seed=1)
+        # several epochs of full and partial minibatches, of one sample each,
+        # and of one minibatch holding the whole training split
+        config = TrainConfig(epochs=4, batch_size=batch_size, seed=1)
+        n_samples = sum(len(t.actions) for t in dataset) if kind == "say" else len(dataset)
+        assert (batch_size > n_samples) == (batch_size == 10_000)
         model = train(kind, dataset, config, env_id, env=env)
         scorer = model.scorer if kind == "say" else model
         weights, bias, epoch_losses, val_metric = reference_train(
