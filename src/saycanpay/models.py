@@ -6,7 +6,7 @@ import json
 import math
 import socket
 from dataclasses import asdict, dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from pathlib import Path
 
 import numpy as np
@@ -177,7 +177,7 @@ class LinearScorer:
             dim, hash_seed = payload["dim"], payload["hash_seed"]
             scorer.weights = np.array(payload["weights"], dtype=float)
             scorer.bias = float(payload["bias"])
-            scorer.val_metric = payload["val_metric"]
+            scorer.val_metric = metric = payload["val_metric"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFileError(f"malformed model file {path}: {exc}") from exc
         if dim != DIM or scorer.weights.shape != (DIM,):
@@ -186,6 +186,10 @@ class LinearScorer:
             problem = f"hash seed {hash_seed}, need {HASH_SEED}"
         elif not (np.isfinite(scorer.weights).all() and math.isfinite(scorer.bias)):
             problem = "non-finite weights or bias"
+        elif type(payload["bias"]) not in (int, float):  # float() takes bools and strings
+            problem = f"bias {payload['bias']!r}, need a number"
+        elif metric is not None and not (type(metric) in (int, float) and math.isfinite(metric)):
+            problem = f"val_metric {metric!r}, need a finite number or null"
         elif scorer.profile not in PROFILES:
             problem = f"unknown feature profile {scorer.profile!r}"
         elif scorer.head != HEADS[scorer.kind]:
@@ -266,7 +270,7 @@ def _compact(rows):
     buckets below DIM and counts times a power-of-two scale, and checked."""
     indptr, indices, values = rows
     buckets, narrow = indices.astype(np.int16), values.astype(np.float32)
-    if not (np.array_equal(buckets, indices) and np.array_equal(narrow, values)):
+    if not ((buckets == indices) & (narrow == values)).all():
         raise ContractError("training rows need int16 buckets and float32 values")
     return np.diff(indptr), buckets, narrow
 
@@ -284,17 +288,27 @@ def _fit(kind: str, env_id: str, samples, config: TrainConfig, loss_fn):
     scores, each sample's cuts into them and the targets.  The gradient is one
     `bincount` over the batch's (sample, row)-ordered buckets; the bias's is
     `np.cumsum(dz)[-1]`, sequential like bincount (builtin `sum` is compensated
-    from CPython 3.12 on, `np.sum` pairwise).  Returns the trained scorer
-    (epoch losses filled in), `minibatches` and the train/validation indices.
+    from CPython 3.12 on, `np.sum` pairwise).  It trains over the `active`
+    buckets some sample holds, renumbered in place: any other weight gets no
+    gradient and stays +0.0 under AdamW.  Returns the trained scorer (epoch
+    losses filled in), `minibatches` and the train/validation indices.
     """
     if not samples:
         raise ContractError("empty dataset")
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = _split_train_val(len(samples), config.val_fraction, rng)
-    params = np.zeros(DIM + 1)
-    no_decay_on_bias = np.ones(DIM + 1)
-    no_decay_on_bias[-1] = 0.0
-    opt = AdamW(DIM + 1, config.lr, config.weight_decay, decay_mask=no_decay_on_bias)
+    held = np.zeros(DIM, bool)
+    for rows, _ in samples:
+        held[rows[1]] = True
+    active = np.flatnonzero(held)
+    renumber = np.zeros(DIM, np.int16)  # len(active) <= DIM = 2**14 fits int16
+    renumber[active] = np.arange(len(active))
+    for rows, _ in samples:
+        rows[1][:] = renumber[rows[1]]
+    n_params = len(active) + 1  # the bias last
+    params = np.zeros(n_params)
+    opt = AdamW(n_params, config.lr, config.weight_decay,
+                decay_mask=np.arange(n_params) < len(active))  # no decay on the bias
     scorer = LinearScorer(kind, env_id, head=HEADS[kind], config=config.to_json())
     scorer.n_samples = len(samples)
     # One reused buffer per nonzero field: fresh ones would fault in new pages
@@ -325,15 +339,15 @@ def _fit(kind: str, env_id: str, samples, config: TrainConfig, loss_fn):
             losses += batch_losses
             weights = np.repeat(dz, lengths)
             grad = np.bincount(buckets, np.multiply(weights, values, out=weights),
-                               minlength=DIM + 1)
-            grad[DIM] = np.cumsum(dz)[-1]
+                               minlength=n_params)
+            grad[-1] = np.cumsum(dz)[-1]
             grad /= len(targets)
             opt.step(params, grad)
         avg = float(np.mean(losses))
         if not math.isfinite(avg):
             raise TrainingDivergedError(f"epoch loss {avg}")
         scorer.epoch_losses.append(avg)
-    scorer.weights, scorer.bias = params[:-1].copy(), float(params[-1])
+    scorer.weights[active], scorer.bias = params[:-1], float(params[-1])
     return scorer, minibatches, train_idx, val_idx
 
 
@@ -416,9 +430,15 @@ def train(model_kind: str, dataset, config: TrainConfig, env_id: str, env=None):
         ]
         loss_fn = _infonce_logits
     elif model_kind == "pay":
-        data = [
-            (_compact(featurize(s.goal, s.history, [s.action])), s.target) for s in dataset
-        ]
+        # An expert step's samples (its action and a zero-target negative)
+        # share a goal and a history: one `featurize` call, split by row
+        data = []
+        for (goal, history), run in groupby(dataset, key=lambda s: (s.goal, s.history)):
+            run = list(run)
+            lengths, buckets, values = _compact(featurize(goal, history, [s.action for s in run]))
+            bounds = [0, *accumulate(lengths.tolist())]
+            data += [((lengths[r : r + 1], buckets[a:b], values[a:b]), s.target)
+                     for r, (s, a, b) in enumerate(zip(run, bounds, bounds[1:]))]
         loss_fn = _mse_logits
     else:
         data = list(_say_samples(dataset, env))

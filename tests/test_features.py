@@ -161,6 +161,31 @@ def test_featurize_matches_the_hashed_gram_counts(env_id, seed, split, walk, pic
     assert all(0 <= i < DIM for indices, _ in rows for i in indices)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    env_id=st.sampled_from(ENV_IDS),
+    seed=st.integers(0, 300),
+    walk=st.lists(st.integers(0, 50), max_size=HISTORY_WINDOW + 3),
+    picks=st.lists(st.integers(0, 50), min_size=1, max_size=8),
+    profile=st.sampled_from(PROFILES),
+)
+def test_each_row_of_a_list_is_its_candidate_featurized_alone(env_id, seed, walk, picks, profile):
+    """Row r of a candidate list's `featurize`, drawn in any order and with
+    repeats, is array for array the one row of `actions[r]` featurized alone.
+    Pay training featurizes an expert step's two samples in one call and
+    splits the rows, and trained Can and Pay share an expansion's rows."""
+    goal, history, vocab = random_reachable_history(env_id, seed, "train", walk)
+    actions = [vocab[p % len(vocab)] for p in picks]
+    indptr, indices, values = featurize(goal, history, actions, profile)
+    for r, action in enumerate(actions):
+        one_indptr, one_indices, one_values = featurize(goal, history, [action], profile)
+        s, e = indptr[r], indptr[r + 1]
+        assert one_indptr.tolist() == [0, e - s]
+        assert indices.dtype == one_indices.dtype and values.dtype == one_values.dtype
+        assert indices[s:e].tobytes() == one_indices.tobytes()
+        assert values[s:e].tobytes() == one_values.tobytes()
+
+
 _EPISODE = st.tuples(st.sampled_from(ENV_IDS), st.integers(0, 300), st.sampled_from(SPLITS))
 _REQUEST = st.tuples(
     st.integers(0, 2),  # the episode whose goal the request takes

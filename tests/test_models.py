@@ -22,7 +22,7 @@ from saycanpay.core import (
     ModelFileError,
 )
 from saycanpay.envs import ENV_IDS, get_env, reset
-from saycanpay.features import DIM, PROFILES, featurize
+from saycanpay.features import DIM, PROFILES, bucket, featurize
 from saycanpay.models import (
     MAX_REPLY_BYTES,
     AdamW,
@@ -309,6 +309,10 @@ class TestLinearScorer:
             {"kind": "pray"},
             {"hash_seed": 1},
             {"config": {"head": "softmax"}},  # a can model needs a sigmoid head
+            {"bias": True},  # float() would read it as 1.0
+            {"bias": "0.5"},
+            {"val_metric": "x"},
+            {"val_metric": True},
         ],
     )
     def test_load_rejects_a_bad_file(self, tmp_path, change):
@@ -465,10 +469,47 @@ class TestTraining:
         weights, bias, epoch_losses, val_metric = reference_train(
             kind, dataset, config, env
         )
-        assert np.array_equal(scorer.weights, weights)
+        assert scorer.weights.tobytes() == weights.tobytes()  # -0.0 is not +0.0
         assert scorer.bias == bias
         assert scorer.epoch_losses == epoch_losses
         assert scorer.val_metric == val_metric
+
+    def test_weights_no_training_sample_reaches_stay_positive_zero(self):
+        """A hand-built Pay set: its samples share one goal and history (one
+        `featurize` call) and act on distinct words, so every validation
+        sample holds buckets no training sample does, and words hashing to
+        buckets 0 and DIM - 1 sit in a training and a validation sample.
+        Training over the held buckets gives the dense reference's bytes, and
+        every weight no training sample reaches is +0.0, not -0.0."""
+        from saycanpay.data import PaySample
+
+        edge_words = {0: "w10821", DIM - 1: "w4216"}
+        assert {b: bucket(f"a:{w}") for b, w in edge_words.items()} == {0: 0, DIM - 1: DIM - 1}
+        config = TrainConfig(epochs=3, batch_size=4, seed=5)
+        n = 12
+        rng = np.random.default_rng(config.seed)
+        train_idx, val_idx = models._split_train_val(n, config.val_fraction, rng)
+        words = [f"v{i}" for i in range(n)]
+        words[train_idx[0]], words[val_idx[0]] = edge_words[0], edge_words[DIM - 1]
+        goal = GoalSpec(text="reach the far room", predicate=("at", "far"))
+        history = History("agent in near room.")
+        dataset = [PaySample(history, goal, ActionInstance.from_text(w, op=(w,)), i / n)
+                   for i, w in enumerate(words)]
+        scorer = train("pay", dataset, config, "gridworld")
+        weights, bias, epoch_losses, val_metric = reference_train("pay", dataset, config)
+        assert scorer.weights.tobytes() == weights.tobytes()
+        assert (scorer.bias, scorer.epoch_losses, scorer.val_metric) == (
+            bias, epoch_losses, val_metric)
+
+        def held(indices):
+            return {int(b) for i in indices
+                    for b in featurize(goal, history, [dataset[i].action])[1]}
+
+        trained = held(train_idx)
+        assert 0 in trained and DIM - 1 in held(val_idx) - trained
+        unreached = scorer.weights[np.setdiff1d(np.arange(DIM), sorted(trained))]
+        assert not unreached.any() and not np.signbit(unreached).any()
+        assert scorer.weights[sorted(trained)].all()
 
     @pytest.mark.parametrize("env_id", ["blocks", "gridworld"])
     @pytest.mark.parametrize("kind", ["can", "pay", "say"])
