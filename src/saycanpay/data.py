@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import ActionInstance, ContractError, DataFileError, GoalSpec, History
-from .envs import Environment, EpisodeSpec, get_env
+from .envs import SPLITS, Environment, EpisodeSpec, get_env
 from .oracle import DELTA, Trajectory, bfs_plan
 
 log = logging.getLogger(__name__)
@@ -97,9 +97,19 @@ def trajectory_to_row(traj: Trajectory) -> dict:
 
 
 def row_to_trajectory(env: Environment, row: dict) -> Trajectory:
-    """A `trajectory_to_row` row read back; ValueError unless it is `env`'s."""
+    """A `trajectory_to_row` row read back; ValueError unless it is `env`'s
+    and its fields have their types."""
     if row["env"] != env.env_id:
         raise ValueError(f"env {row['env']!r} is not {env.env_id!r}")
+    for key, ok, need in (
+        ("seed", type(row["seed"]) is int and row["seed"] >= 0, "an int >= 0"),
+        ("split", row["split"] in SPLITS, f"one of {SPLITS}"),
+        ("init_obs", isinstance(row["init_obs"], str), "a string"),
+        ("goal", isinstance(row["goal"], str), "a string"),
+        ("reward", type(row["reward"]) in (int, float), "a number"),
+    ):
+        if not ok:
+            raise ValueError(f"{key} {row[key]!r}, need {need}")
     state = env.state_from_json(row["init_state"])
     predicate = tuple(row["goal_predicate"].split("/"))
     spec = EpisodeSpec(
@@ -125,7 +135,8 @@ def write_trajectories(trajectories: list[Trajectory], path: Path):
 
 def read_trajectories(env: Environment, path: Path) -> list[Trajectory]:
     """The trajectories of a split file; DataFileError names the file (and the
-    line) when it holds none or a line is not a trajectory of `env`."""
+    line) when it holds none, a line is not a trajectory of `env`, or lines
+    name different splits."""
     trajectories = []
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
@@ -133,6 +144,9 @@ def read_trajectories(env: Environment, path: Path) -> list[Trajectory]:
                 continue
             try:
                 trajectories.append(row_to_trajectory(env, json.loads(line)))
+                split, first = (t.episode.split for t in (trajectories[-1], trajectories[0]))
+                if split != first:
+                    raise ValueError(f"split {split!r} in a file of split {first!r}")
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 raise DataFileError(
                     f"malformed trajectory file {path} line {number}: {exc!r}"

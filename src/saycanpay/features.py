@@ -15,9 +15,11 @@ pieces hashed once into bounded caches.  The pieces are keyed by word and
 segment, not by episode: a segment (goal, observation, one past action, a
 candidate's own grams) by its prefix and tokens, and a cross by (tag, word,
 candidate tokens).  The few words of an environment are shared by all its
-episodes, so a new episode or history costs a concatenation of cached arrays,
-and a signature gram continues the cached FNV-1a state of its history prefix.
-The rows of one call are then one sort and count of their keys.
+episodes, so a new episode or history costs a join of cached pieces, and a
+signature gram continues the cached FNV-1a state of its history prefix.  Each
+piece is an immutable `bytes` of native int16 buckets (no array header per
+piece), so a composite piece is a `b"".join` of its parts.  The rows of one
+call are then one sort and count of their keys.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .core import ActionInstance, ContractError, GoalSpec, History
 DIM = 2**14  # a power of two: a key's bucket is its low bits
 HASH_SEED = 0x9E3779B9
 HISTORY_WINDOW = 3  # most recent actions kept in the history segment
-FEATURE_SCALE = 64.0
-PLAIN_SCALE = 32.0
+# Each profile's count multiplier; powers of two, so count * scale is exact
+SCALES = {"full": 64.0, "plain": 32.0}
 SIGNATURE_COUNT = 2  # extra weight on the whole-context signature grams
 
 _WORD = re.compile(r"[a-z0-9]+")
@@ -44,7 +46,7 @@ _FNV_PRIME = 1099511628211
 # Sizes of the piece caches; each holds far more than one episode's pieces.
 _TEXT_CACHE = 4096
 _PIECE_CACHE = 1 << 15
-_PIECE = np.int16  # cached buckets are below DIM; two bytes keep the caches small
+_PIECE = np.dtype(np.int16)  # cached buckets are below DIM; two bytes each
 
 
 def _fnv(h: int, text: str) -> int:
@@ -72,7 +74,7 @@ def _grams(prefix: str, tokens: list[str]) -> list[str]:
     return grams
 
 
-PROFILES = ("full", "plain")
+PROFILES = tuple(SCALES)
 
 
 def feature_grams(
@@ -122,42 +124,37 @@ def _tokens(text: str) -> tuple[str, ...]:
     return tuple(tokenize(text))
 
 
-def _hashed(grams) -> np.ndarray:
-    """Buckets of `grams` as a read-only array (the caches share it)."""
-    return _frozen(np.array([bucket(g) for g in grams], dtype=_PIECE))
-
-
-def _frozen(buckets: np.ndarray) -> np.ndarray:
-    buckets.flags.writeable = False
-    return buckets
+def _hashed(grams) -> bytes:
+    """Buckets of `grams` as the bytes of an int16 array."""
+    return np.array([bucket(g) for g in grams], dtype=_PIECE).tobytes()
 
 
 @lru_cache(maxsize=_PIECE_CACHE)
-def _segment(prefix: str, tokens: tuple[str, ...]) -> np.ndarray:
+def _segment(prefix: str, tokens: tuple[str, ...]) -> bytes:
     """Buckets of one segment's unigrams and bigrams under `prefix`."""
     return _hashed(_grams(prefix, list(tokens)))
 
 
 @lru_cache(maxsize=_PIECE_CACHE)
-def _word_cross(tag: str, word: str, tokens: tuple[str, ...]) -> np.ndarray:
+def _word_cross(tag: str, word: str, tokens: tuple[str, ...]) -> bytes:
     """Buckets of the `tag:{word}|{w2}` crosses of one word and a candidate."""
     return _hashed(f"{tag}:{word}|{w2}" for w2 in tokens)
 
 
-def _crosses(tag: str, words, tokens: tuple[str, ...]) -> list[np.ndarray]:
+def _crosses(tag: str, words, tokens: tuple[str, ...]) -> list[bytes]:
     return [_word_cross(tag, w, tokens) for w in words]
 
 
 @lru_cache(maxsize=_PIECE_CACHE)
-def _cross(tag: str, past: tuple[str, ...], tokens: tuple[str, ...]) -> np.ndarray:
+def _cross(tag: str, past: tuple[str, ...], tokens: tuple[str, ...]) -> bytes:
     """Buckets of the `tag:{w1}|{w2}` crosses of a past action and a candidate."""
-    return _frozen(np.concatenate(_crosses(tag, past, tokens)))
+    return b"".join(_crosses(tag, past, tokens))
 
 
 @lru_cache(maxsize=_PIECE_CACHE)
 def _context(
     goal_text: str, obs: str, recent: tuple[tuple[str, ...], ...], n_actions: int
-) -> np.ndarray:
+) -> bytes:
     """Buckets shared by every candidate: the goal, observation and
     history-window segments (most recent action first) and the history length."""
     parts = [_segment("g", _tokens(goal_text)), _segment("h:o", _tokens(obs))]
@@ -165,29 +162,29 @@ def _context(
         _segment(f"h:{back}", tokens) for back, tokens in enumerate(recent, start=1)
     )
     parts.append(_segment("h:len", (str(n_actions),)))  # the one gram h:len:{n}
-    return _frozen(np.concatenate(parts))
+    return b"".join(parts)
 
 
 @lru_cache(maxsize=_PIECE_CACHE)
-def _own_piece(tokens: tuple[str, ...], is_done: bool) -> np.ndarray:
+def _own_piece(tokens: tuple[str, ...], is_done: bool) -> bytes:
     """Buckets of a candidate's own grams."""
     parts = [_segment("a", tokens)]
     if is_done:
         parts.append(_segment("a", ("is_done",)))  # the one gram a:is_done
-    return _frozen(np.concatenate(parts))
+    return b"".join(parts)
 
 
 @lru_cache(maxsize=_PIECE_CACHE)
 def _full_piece(
     goal_text: str, obs: str, tokens: tuple[str, ...], is_done: bool
-) -> np.ndarray:
+) -> bytes:
     """Buckets of a candidate's own grams and of its goal x action (`y:`) and
     observation x action (`z:`) crosses, one cached piece per (word,
     candidate)."""
     parts = [_own_piece(tokens, is_done)]
     parts.extend(_crosses("y", _tokens(goal_text), tokens))
     parts.extend(_crosses("z", _tokens(obs), tokens))
-    return _frozen(np.concatenate(parts))
+    return b"".join(parts)
 
 
 @lru_cache(maxsize=_PIECE_CACHE)
@@ -202,12 +199,12 @@ def _joined_state(head: str, texts: tuple[str, ...]) -> int:
 
 
 @lru_cache(maxsize=_PIECE_CACHE)
-def _signature(c_state: int, d_state: int, text: str) -> np.ndarray:
+def _signature(c_state: int, d_state: int, text: str) -> bytes:
     """Buckets of a candidate's `c:` and `d:` signature grams, each
     SIGNATURE_COUNT times: the context states continued over `text`."""
     c = _fnv(c_state, text) % DIM
     d = _fnv(d_state, text) % DIM
-    return _frozen(np.array([c] * SIGNATURE_COUNT + [d] * SIGNATURE_COUNT, dtype=_PIECE))
+    return np.array([c] * SIGNATURE_COUNT + [d] * SIGNATURE_COUNT, dtype=_PIECE).tobytes()
 
 
 def featurize(
@@ -241,30 +238,21 @@ def featurize(
         texts = tuple(a.text for a in history.actions)
         c_state = _fnv(_joined_state(f"c:{obs}|", texts), "|")
         d_state = _fnv(_joined_state("d:", texts), "|")
-    # Each row's pieces, concatenated; the key r * DIM + bucket sorts the
-    # rows apart, and equal keys are one bucket of one row.
+    # Each row's pieces, joined; the key r * DIM + bucket sorts the rows
+    # apart, and equal keys are one bucket of one row.  Lengths are in bytes.
     pieces = []
     lengths = []
-    n_context = len(context)
     for action in actions:
-        tokens = action.tokens
+        tokens, is_done = action.tokens, action.is_done
+        own = _full_piece(goal_text, obs, tokens, is_done) if full else _own_piece(tokens, is_done)
+        row = [context, own, *[_cross(tag, past, tokens) for tag, past in crossed]]
         if full:
-            piece = _full_piece(goal_text, obs, tokens, action.is_done)
-        else:
-            piece = _own_piece(tokens, action.is_done)
-        pieces += (context, piece)
-        length = n_context + len(piece)
-        for tag, past in crossed:
-            piece = _cross(tag, past, tokens)
-            pieces.append(piece)
-            length += len(piece)
-        if full:
-            pieces.append(_signature(c_state, d_state, action.text))
-            length += 2 * SIGNATURE_COUNT
-        lengths.append(length)
+            row.append(_signature(c_state, d_state, action.text))
+        pieces += row
+        lengths.append(sum(map(len, row)))
     starts = np.arange(0, (n_rows + 1) * DIM, DIM)
-    keys = np.concatenate(pieces, dtype=np.intp)
-    keys += starts[:-1].repeat(lengths)
+    keys = np.frombuffer(b"".join(pieces), _PIECE).astype(np.intp)
+    keys += starts[:-1].repeat(np.array(lengths) // _PIECE.itemsize)
     keys.sort()
     # np.unique(keys, return_counts=True), without its wrapper's overhead
     edges = np.empty(len(keys) + 1, dtype=bool)
@@ -273,5 +261,4 @@ def featurize(
     bounds = np.flatnonzero(edges)
     distinct = keys[bounds[:-1]]
     indptr = distinct.searchsorted(starts)
-    scale = FEATURE_SCALE if full else PLAIN_SCALE
-    return indptr, distinct & (DIM - 1), scale * (bounds[1:] - bounds[:-1])
+    return indptr, distinct & (DIM - 1), SCALES[profile] * (bounds[1:] - bounds[:-1])

@@ -20,13 +20,17 @@ from .core import (
     ModelFileError,
     TrainingDivergedError,
 )
-from .features import DIM, HASH_SEED, PROFILES, featurize
+from .features import DIM, HASH_SEED, PROFILES, SCALES, featurize
 from .oracle import Trajectory
 
 MODEL_KINDS = ("can", "pay", "say")
 # Each kind's head, for training and for every loaded model file: Can and Pay
 # give each candidate its own sigmoid score, Say a softmax over the vocabulary.
 HEADS = {"can": "sigmoid", "pay": "sigmoid", "say": "softmax"}
+# Each kind's feature profile: the policy keeps the lighter one so its softmax
+# stays soft enough to surface several plausible candidates; the feasibility
+# and payoff scorers use the full crosses.
+FEATURE_PROFILES = {"can": "full", "pay": "full", "say": "plain"}
 CAN_CALIBRATION_RAW = 2.197  # sigmoid(2.197) ~= 0.9
 MAX_REPLY_BYTES = 1 << 20  # an adapter reply line longer than this is refused
 
@@ -113,10 +117,7 @@ class LinearScorer:
         self.kind = kind
         self.env = env
         self.head = head
-        # The policy keeps the lighter feature profile so its softmax stays
-        # soft enough to surface several plausible candidates; the feasibility
-        # and payoff scorers use the full crosses.
-        self.profile = profile or ("plain" if kind == "say" else "full")
+        self.profile = profile or FEATURE_PROFILES[kind]
         self.config = config or {}
         self.weights = np.zeros(DIM)
         self.bias = 0.0
@@ -264,15 +265,18 @@ def _row_dots(gathered: np.ndarray, values: np.ndarray, bounds: list[int], bias)
     ]
 
 
-def _compact(rows):
+def _compact(rows, scale: float):
     """`featurize` rows as training stores them: (row lengths, int16 buckets,
-    float32 values), 6 bytes per nonzero.  Both narrowings are exact for
-    buckets below DIM and counts times a power-of-two scale, and checked."""
+    uint8 counts), 3 bytes per nonzero.  Each value is its count times the
+    profile's power-of-two `scale`, so `count * scale` gives it back exactly;
+    a bucket beyond int16 or a value that is not such a count is refused
+    before either cast."""
     indptr, indices, values = rows
-    buckets, narrow = indices.astype(np.int16), values.astype(np.float32)
-    if not ((buckets == indices) & (narrow == values)).all():
-        raise ContractError("training rows need int16 buckets and float32 values")
-    return np.diff(indptr), buckets, narrow
+    counts = values / scale
+    if not ((indices >= 0) & (indices < 2**15) & (counts >= 0) & (counts <= 255)
+            & (counts == np.floor(counts))).all():
+        raise ContractError("training rows need int16 buckets and counts of at most 255")
+    return np.diff(indptr), indices.astype(np.int16), counts.astype(np.uint8)
 
 
 def _split_train_val(n: int, val_fraction: float, rng: np.random.Generator):
@@ -311,6 +315,7 @@ def _fit(kind: str, env_id: str, samples, config: TrainConfig, loss_fn):
                 decay_mask=np.arange(n_params) < len(active))  # no decay on the bias
     scorer = LinearScorer(kind, env_id, head=HEADS[kind], config=config.to_json())
     scorer.n_samples = len(samples)
+    scale = SCALES[scorer.profile]
     # One reused buffer per nonzero field: fresh ones would fault in new pages
     cap = sum(sorted(len(rows[1]) for rows, _ in samples)[-config.batch_size :])
     scratch = np.empty(cap, np.intp), np.empty(cap), np.empty(cap)
@@ -318,7 +323,8 @@ def _fit(kind: str, env_id: str, samples, config: TrainConfig, loss_fn):
     def minibatches(indices):
         """Each minibatch's raw scores (flat, in (sample, row) order), sample
         cuts and targets, and its rows' lengths, buckets and values, assembled
-        once: buckets widened to intp once for the gather and the bincount."""
+        once: buckets widened to intp once for the gather and the bincount,
+        counts to float64 and times the scale (exact) for the dots."""
         for s in range(0, len(indices), config.batch_size):
             batch = [samples[i] for i in indices[s : s + config.batch_size].tolist()]
             lengths = np.concatenate([rows[0] for rows, _ in batch])
@@ -326,6 +332,7 @@ def _fit(kind: str, env_id: str, samples, config: TrainConfig, loss_fn):
             buckets, values, gathered = (a[: bounds[-1]] for a in scratch)
             np.concatenate([rows[1] for rows, _ in batch], out=buckets)
             np.concatenate([rows[2] for rows, _ in batch], out=values)
+            values *= scale
             params.take(buckets, out=gathered, mode="clip")  # in range; "raise" copies
             z = _row_dots(gathered, values, bounds, float(params[-1]))
             cuts = [0, *accumulate(len(rows[0]) for rows, _ in batch)]
@@ -402,15 +409,15 @@ def _can_f1(logits) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _say_samples(trajectories: list[Trajectory], env):
+def _say_samples(trajectories: list[Trajectory], env, profile: str):
     """(compact vocabulary rows, target index) of each expert step."""
     for traj in trajectories:
         vocab = env.admissible_actions(traj.episode)
         text_to_idx = {a.text: i for i, a in enumerate(vocab)}
         history = History(traj.episode.init_obs)
         for action in traj.actions:
-            rows = featurize(traj.episode.goal, history, vocab, profile="plain")
-            yield _compact(rows), text_to_idx[action.text]
+            rows = featurize(traj.episode.goal, history, vocab, profile)
+            yield _compact(rows, SCALES[profile]), text_to_idx[action.text]
             history = history.extended(action)
 
 
@@ -422,10 +429,12 @@ def train(model_kind: str, dataset, config: TrainConfig, env_id: str, env=None):
     rows are narrowed by `_compact` as soon as they are built."""
     if model_kind not in MODEL_KINDS:
         raise ContractError(f"unknown model kind {model_kind!r}")
+    profile = FEATURE_PROFILES[model_kind]
+    scale = SCALES[profile]
     if model_kind == "can":
         data = [
-            (_compact(featurize(s.goal, s.history, [s.positive, s.neg_same, s.neg_cross])),
-             None)
+            (_compact(featurize(s.goal, s.history, [s.positive, s.neg_same, s.neg_cross],
+                                profile), scale), None)
             for s in dataset
         ]
         loss_fn = _infonce_logits
@@ -435,13 +444,14 @@ def train(model_kind: str, dataset, config: TrainConfig, env_id: str, env=None):
         data = []
         for (goal, history), run in groupby(dataset, key=lambda s: (s.goal, s.history)):
             run = list(run)
-            lengths, buckets, values = _compact(featurize(goal, history, [s.action for s in run]))
+            rows = featurize(goal, history, [s.action for s in run], profile)
+            lengths, buckets, counts = _compact(rows, scale)
             bounds = [0, *accumulate(lengths.tolist())]
-            data += [((lengths[r : r + 1], buckets[a:b], values[a:b]), s.target)
+            data += [((lengths[r : r + 1], buckets[a:b], counts[a:b]), s.target)
                      for r, (s, a, b) in enumerate(zip(run, bounds, bounds[1:]))]
         loss_fn = _mse_logits
     else:
-        data = list(_say_samples(dataset, env))
+        data = list(_say_samples(dataset, env, profile))
         loss_fn = _softmax_xent_logits
     scorer, batches, train_idx, val_idx = _fit(model_kind, env_id, data, config, loss_fn)
     if model_kind == "can":

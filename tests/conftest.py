@@ -27,7 +27,7 @@ from saycanpay.data import (
 )
 from saycanpay.decoding import PlanResult, expand_candidates
 from saycanpay.envs import ENV_IDS, get_env, reset
-from saycanpay.features import DIM, FEATURE_SCALE, PLAIN_SCALE, bucket, feature_grams
+from saycanpay.features import DIM, SCALES, bucket, feature_grams
 from saycanpay.models import (
     CAN_CALIBRATION_RAW,
     AdamW,
@@ -179,7 +179,7 @@ def _reference_row(goal, history, action, profile="full"):
     """One candidate's features: a Counter over its hashed grams, scaled."""
     counts = Counter(bucket(g) for g in feature_grams(goal, history, action, profile))
     indices = sorted(counts)
-    scale = FEATURE_SCALE if profile == "full" else PLAIN_SCALE
+    scale = SCALES[profile]
     return (
         np.asarray(indices, dtype=np.intp),
         np.asarray([scale * counts[i] for i in indices]),
@@ -365,3 +365,19 @@ def tiny_model_dir(tmp_path_factory, tiny_data_dir):
     return train_models(
         tiny_data_dir, tmp_path_factory.mktemp("tiny-models"), seeds=(0,)
     )
+
+
+# Fields of a split row with a value of the wrong type or range, each
+# (field, value, what the error names); "split" "train" in a test file is a
+# second split in one file.
+FIELD_PROBES = [
+    ("seed", "x", "seed 'x'"),
+    ("seed", True, "seed True"),
+    ("seed", -1, "seed -1"),
+    ("split", "bogus", "split 'bogus'"),
+    ("split", "train", "split 'train' in a file of split 'test'"),
+    ("init_obs", None, "init_obs None"),
+    ("goal", True, "goal True"),
+    ("reward", "1", "reward '1'"),
+]
+FIELD_PROBE_IDS = [f"{field}={value!r}" for field, value, _ in FIELD_PROBES]

@@ -516,3 +516,29 @@ def test_seed_zero_splits_and_grid_rows_are_pinned(full_data_dir, grid):
         if row["seed"] == 0
     }
     assert rows == PINNED_GRID_ROW_SHA256
+
+
+# sha256 of each env's seed-0 greedy-token report row (Say alone, m=6, k=1),
+# the same with the OpenBLAS kernel forced to Haswell or Sandybridge.
+PINNED_GREEDY_TOKEN_ROW_SHA256 = {
+    "hanoi": "23bd0859628ef6a2e97d228f3496864700cd0522844b4fe9aa1c468f1a44202e",
+    "blocks": "a3f14053660bc543d6275be4e39313b9983487fc876b8399197e96fc3fa91628",
+    "gridworld": "d2394b2fc1da579efed9826373cd2c0ab019fc8eeb31ba6106acbd637bbf0cba",
+}
+
+
+def test_seed_zero_greedy_token_rows_are_pinned(full_data_dir, full_model_dir):
+    cells = [
+        {
+            "env": env_id, "split": "test", "strategy": "greedy-token",
+            "score": "say", "seed": 0, "backends": {"say": "trained"},
+            "m": 6, "k": 1,
+        }
+        for env_id in ENV_IDS
+    ]
+    report = run_cells(cells, full_data_dir, full_model_dir)
+    rows = {
+        row["env"]: _sha256(json.dumps(row, sort_keys=True).encode())
+        for row in report["cells"]
+    }
+    assert rows == PINNED_GREEDY_TOKEN_ROW_SHA256

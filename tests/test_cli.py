@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from saycanpay import cli
 
+from conftest import FIELD_PROBE_IDS, FIELD_PROBES
+
 
 def run_cli(*args, env=None, cwd=None):
     full_env = dict(os.environ)
@@ -443,6 +445,25 @@ class TestExitCodes:
         assert len(errors) == 1 and errors[0].startswith("error: ")
         assert "hanoi_test.jsonl line 2:" in errors[0]
         assert "each disk" in errors[0]
+
+    @pytest.mark.parametrize("field, value, named", FIELD_PROBES, ids=FIELD_PROBE_IDS)
+    def test_a_row_field_of_the_wrong_type_returns_two_naming_the_line(
+        self, field, value, named, tiny_data_dir, tmp_path
+    ):
+        lines = (tiny_data_dir / "hanoi_test.jsonl").read_text().splitlines()
+        row = json.loads(lines[1])
+        row[field] = value
+        lines[1] = json.dumps(row)
+        (tmp_path / "hanoi_test.jsonl").write_text("\n".join(lines) + "\n")
+        proc = run_cli(
+            "plan", "--env", "hanoi", "--backend-say", "perfect-say",
+            "--backend-can", "oracle", "--backend-pay", "oracle",
+            "--data", str(tmp_path), "--models", str(tmp_path),
+        )
+        assert proc.returncode == 2
+        errors = proc.stderr.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert "hanoi_test.jsonl line 2:" in errors[0] and named in errors[0]
 
     @pytest.mark.parametrize(
         "backends",

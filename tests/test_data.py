@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -18,6 +19,8 @@ from saycanpay.data import (
 )
 from saycanpay.envs import ENV_IDS, get_env
 from saycanpay.oracle import DELTA, bfs_plan
+
+from conftest import FIELD_PROBE_IDS, FIELD_PROBES
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +190,24 @@ def test_an_impossible_stored_state_is_a_malformed_line(
     corrupt(rows[number - 1])
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     with pytest.raises(DataFileError, match=f"line {number}:.*{named}"):
+        read_trajectories(env, path)
+
+
+@pytest.mark.parametrize("field, value, named", FIELD_PROBES, ids=FIELD_PROBE_IDS)
+def test_a_field_of_the_wrong_type_is_a_malformed_line(
+    field, value, named, small_sets, tmp_path
+):
+    """A row whose seed, split, observation, goal or reward has the wrong
+    type, or that names another split than the file's first row, is refused
+    where the split is read, and the error names the file and the line."""
+    env = get_env("hanoi")
+    path = tmp_path / "hanoi_test.jsonl"
+    write_trajectories(small_sets["hanoi"]["test"], path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[1][field] = value
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    where = f"{re.escape(str(path))} line 2:.*{re.escape(named)}"
+    with pytest.raises(DataFileError, match=where):
         read_trajectories(env, path)
 
 

@@ -12,10 +12,9 @@ from saycanpay import features
 from saycanpay.core import ActionInstance, ContractError, GoalSpec, History
 from saycanpay.features import (
     DIM,
-    FEATURE_SCALE,
     HISTORY_WINDOW,
-    PLAIN_SCALE,
     PROFILES,
+    SCALES,
     bucket,
     feature_grams,
     featurize,
@@ -52,7 +51,7 @@ def rows_of(csr):
 def reference_row(goal, history, action, profile):
     """One row the slow way: a Counter over the hashed grams, scaled."""
     counts = Counter(bucket(g) for g in feature_grams(goal, history, action, profile))
-    scale = FEATURE_SCALE if profile == "full" else PLAIN_SCALE
+    scale = SCALES[profile]
     keys = sorted(counts)
     return keys, [scale * counts[k] for k in keys]
 
@@ -117,8 +116,7 @@ def test_profile_scales_differ():
     goal, history, action = triple()
     full = featurize(goal, history, [action], profile="full")
     plain = featurize(goal, history, [action], profile="plain")
-    assert min(full[2]) == FEATURE_SCALE
-    assert min(plain[2]) == PLAIN_SCALE
+    assert min(full[2]) == SCALES["full"] != SCALES["plain"] == min(plain[2])
 
 
 def test_empty_candidate_list_and_unknown_profile():
@@ -127,6 +125,21 @@ def test_empty_candidate_list_and_unknown_profile():
     assert indptr.tolist() == [0] and indices.size == 0 and values.size == 0
     with pytest.raises(ContractError):
         featurize(goal, history, [], profile="fancy")
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_mutating_returned_rows_leaves_the_next_call_unchanged(profile):
+    """`featurize` returns fresh arrays: writing into them (as training does
+    when it renumbers buckets in place) touches no cached piece."""
+    env = get_env("blocks")
+    spec = reset("blocks", 0, "train")
+    vocab = env.admissible_actions(spec)
+    history = History(spec.init_obs).extended(vocab[0])
+    before = [a.copy() for a in featurize(spec.goal, history, vocab, profile)]
+    for array in featurize(spec.goal, history, vocab, profile):
+        array[:] = 0
+    after = featurize(spec.goal, history, vocab, profile)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
 
 @settings(max_examples=80, deadline=None)

@@ -22,7 +22,7 @@ from saycanpay.core import (
     ModelFileError,
 )
 from saycanpay.envs import ENV_IDS, get_env, reset
-from saycanpay.features import DIM, PROFILES, bucket, featurize
+from saycanpay.features import DIM, PROFILES, SCALES, bucket, featurize
 from saycanpay.models import (
     MAX_REPLY_BYTES,
     AdamW,
@@ -540,36 +540,60 @@ class TestTraining:
 
     @pytest.mark.parametrize(
         "indices, values",
-        [([3, 2**15], [64.0, 64.0]), ([3, 5], [64.0, 0.1])],
-        ids=["bucket-2^15", "value-not-float32"],
+        [([3, 2**15], [64.0, 64.0]), ([3, 5], [64.0, 0.1]), ([3, 5], [64.0, 256 * 64.0])],
+        ids=["bucket-2^15", "value-not-a-count", "count-256"],
     )
     def test_a_row_that_does_not_narrow_is_refused(self, indices, values):
         rows = (np.array([0, 2]), np.array(indices), np.array(values))
-        with pytest.raises(ContractError, match="int16 buckets and float32 values"):
-            models._compact(rows)
+        with pytest.raises(ContractError, match="int16 buckets and counts of at most 255"):
+            models._compact(rows, SCALES["full"])
 
-    def test_say_samples_store_six_bytes_per_nonzero(self):
-        """Training keeps each sample's rows as int16 buckets and float32
-        values, and widening them gives back `featurize`'s rows exactly."""
+    def test_say_samples_store_three_bytes_per_nonzero(self):
+        """Training keeps each sample's rows as int16 buckets and uint8
+        counts, and the counts times the plain scale are `featurize`'s values
+        exactly."""
         from saycanpay.data import generate_split
 
         env = get_env("blocks")
         trajectories = generate_split(env, "train", 3, 0)
-        samples = list(models._say_samples(trajectories, env))
+        samples = list(models._say_samples(trajectories, env, "plain"))
         assert len(samples) == sum(len(t.actions) for t in trajectories)
         nnz = sum(len(buckets) for (_, buckets, _), _ in samples)
-        stored = sum(b.nbytes + v.nbytes for (_, b, v), _ in samples)
-        assert nnz > 0 and stored <= 6 * nnz
+        stored = sum(b.nbytes + c.nbytes for (_, b, c), _ in samples)
+        assert nnz > 0 and stored == 3 * nnz
         traj = trajectories[0]
         vocab = env.admissible_actions(traj.episode)
         indptr, indices, values = featurize(
             traj.episode.goal, History(traj.episode.init_obs), vocab, "plain"
         )
-        (lengths, buckets, narrow), _ = samples[0]
-        assert buckets.dtype == np.int16 and narrow.dtype == np.float32
+        (lengths, buckets, counts), _ = samples[0]
+        assert buckets.dtype == np.int16 and counts.dtype == np.uint8
         assert np.array_equal(np.concatenate([[0], np.cumsum(lengths)]), indptr)
         assert np.array_equal(buckets.astype(np.intp), indices)
-        assert np.array_equal(narrow.astype(np.float64), values)
+        assert (counts * SCALES["plain"]).tobytes() == values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), scale=st.sampled_from(sorted(SCALES.values())))
+    def test_compact_rows_widen_back_exactly(self, data, scale):
+        """Rows of distinct buckets below DIM and counts 1-255, narrowed by
+        `_compact` and widened as a training minibatch widens them (buckets
+        to intp, counts into a float64 buffer times the scale), are the rows
+        given, byte for byte."""
+        rows = data.draw(st.lists(
+            st.dictionaries(st.integers(0, DIM - 1), st.integers(1, 255), max_size=40),
+            min_size=1, max_size=5,
+        ))
+        indices = np.array([b for row in rows for b in sorted(row)], dtype=np.intp)
+        values = np.array([scale * row[b] for row in rows for b in sorted(row)])
+        indptr = np.array([0, *accumulate(len(row) for row in rows)])
+        lengths, buckets, counts = models._compact((indptr, indices, values), scale)
+        widened, wide = np.empty(len(indices), np.intp), np.empty(len(indices))
+        np.concatenate([buckets], out=widened)
+        np.concatenate([counts], out=wide)
+        wide *= scale
+        assert np.array_equal(np.concatenate([[0], np.cumsum(lengths)]), indptr)
+        assert widened.tobytes() == indices.tobytes()
+        assert wide.tobytes() == values.tobytes()
 
     def test_empty_datasets_rejected(self):
         config = TrainConfig(epochs=1)
